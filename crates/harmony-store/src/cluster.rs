@@ -1491,9 +1491,10 @@ impl Cluster {
             return;
         }
         // Enough replies: reconcile by timestamp (newest column values win).
-        // With a single responding row — the common eventual-consistency
-        // case — the replica's shared row IS the winner (no copy at all);
-        // only disagreeing responses build one fresh merged row.
+        // When one response already holds the reconciled content — a single
+        // row, agreeing replicas, or one at least as new on every column —
+        // that replica's shared row IS the winner (no copy at all); only
+        // responses that interleave per column build one fresh merged row.
         let winner: Arc<Row> = Row::merge_shared(pending.responses.iter().filter_map(|(_, r)| r))
             .unwrap_or_else(|| Arc::new(Row::new()));
         let returned_ts = winner.latest_timestamp();
@@ -2087,10 +2088,6 @@ impl Cluster {
         self.send_replica_work(source, target, Message::RepairWrite { key, row }, ctx);
     }
 
-    /// True when every serving replica of every client-acknowledged key
-    /// holds a row at least as new as the newest acknowledged timestamp —
-    /// the convergence predicate of the self-healing experiments. `&mut`
-    /// because replica sets are memoised on first use.
     /// The number of client-acknowledged keys on which at least one serving
     /// replica still lags the newest acknowledged timestamp — the graded
     /// form of [`Cluster::all_replicas_converged`]. The self-healing sweeps
@@ -2121,6 +2118,10 @@ impl Cluster {
         divergent
     }
 
+    /// True when every serving replica of every client-acknowledged key
+    /// holds a row at least as new as the newest acknowledged timestamp —
+    /// the convergence predicate of the self-healing experiments. `&mut`
+    /// because replica sets are memoised on first use.
     pub fn all_replicas_converged(&mut self) -> bool {
         for index in 0..self.latest_acked.len() {
             let acked = self.latest_acked[index];

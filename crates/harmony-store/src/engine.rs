@@ -7,29 +7,17 @@
 //! per-column last-write-wins reconciliation.
 
 use crate::keys::KeyId;
-use crate::types::{Cell, Mutation, Row, Timestamp};
+use crate::types::{Mutation, Row, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One durable commit-log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommitLogEntry {
-    /// The (interned) row key written.
-    pub key: KeyId,
-    /// How many columns the mutation touched.
-    pub columns: usize,
-    /// The timestamp of the mutation.
-    pub timestamp: Timestamp,
-    /// Payload size in bytes.
-    pub size_bytes: usize,
-}
-
-/// An append-only commit log (sizes and counts only; payloads live in the
-/// memtable/SSTables, as replaying the log is not needed inside the simulator).
+/// An append-only commit log, kept as counters: sizes and counts only.
+/// Payloads live in the memtable/SSTables and nothing replays the log inside
+/// the simulator, so records are tallied, not retained.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    entries: Vec<CommitLogEntry>,
+    len: usize,
     bytes: usize,
 }
 
@@ -39,20 +27,20 @@ impl CommitLog {
         CommitLog::default()
     }
 
-    /// Appends a record.
-    pub fn append(&mut self, entry: CommitLogEntry) {
-        self.bytes += entry.size_bytes;
-        self.entries.push(entry);
+    /// Appends a record of `size_bytes` payload bytes.
+    pub fn append(&mut self, size_bytes: usize) {
+        self.len += 1;
+        self.bytes += size_bytes;
     }
 
     /// Number of records since the last truncation.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total logged bytes since the last truncation.
@@ -62,8 +50,7 @@ impl CommitLog {
 
     /// Discards all records (called after a successful memtable flush).
     pub fn truncate(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
+        *self = CommitLog::default();
     }
 }
 
@@ -171,24 +158,13 @@ impl StorageEngine {
     /// upsert with per-column last-write-wins.
     pub fn apply(&mut self, key: KeyId, mutation: &Mutation, timestamp: Timestamp) {
         self.stats.writes += 1;
-        self.commit_log.append(CommitLogEntry {
-            key,
-            columns: mutation.columns.len(),
-            timestamp,
-            size_bytes: mutation.size_bytes(),
-        });
+        self.commit_log.append(mutation.size_bytes());
         // `make_mut` clones only if a read response still shares this row —
-        // rare, and exactly the copy-on-write a shared store needs.
+        // exactly the copy-on-write a shared store needs, and a copy of the
+        // column map's pointers, not of the payloads behind them.
         let entry = Arc::make_mut(self.memtable.entry(key).or_default());
         for (name, value) in &mutation.columns {
-            match entry.columns.get(name) {
-                Some(existing) if existing.timestamp >= timestamp => {}
-                _ => {
-                    entry
-                        .columns
-                        .insert(name.clone(), Cell::new(value.clone(), timestamp));
-                }
-            }
+            entry.upsert(name, value, timestamp);
         }
         if self.memtable.len() >= self.config.memtable_flush_rows {
             self.flush();
@@ -202,12 +178,7 @@ impl StorageEngine {
             return;
         }
         self.stats.writes += 1;
-        self.commit_log.append(CommitLogEntry {
-            key,
-            columns: row.columns.len(),
-            timestamp: row.latest_timestamp(),
-            size_bytes: row.size_bytes(),
-        });
+        self.commit_log.append(row.size_bytes());
         let entry = Arc::make_mut(self.memtable.entry(key).or_default());
         entry.merge_from(row);
         if self.memtable.len() >= self.config.memtable_flush_rows {
@@ -217,9 +188,9 @@ impl StorageEngine {
 
     /// Reads a row, merging the memtable and every SSTable (newest data wins
     /// per column). Returns `None` if the key has never been written on this
-    /// replica. When a single source holds the key — the common case — the
-    /// stored row is *shared* (`Arc` clone), not deep-copied; a merge across
-    /// sources builds one fresh row.
+    /// replica. The stored row is *shared* (`Arc` clone), not copied, when a
+    /// single source holds the key — the common case — or one source
+    /// dominates; only interleaved sources build one fresh row.
     pub fn get(&mut self, key: KeyId) -> Option<Arc<Row>> {
         self.stats.reads += 1;
         Row::merge_shared(
@@ -350,13 +321,14 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Cell;
 
     fn mutation(col: &str, val: &str) -> Mutation {
         Mutation::single(col, val.as_bytes().to_vec())
     }
 
     fn value_of(row: &Row, col: &str) -> String {
-        String::from_utf8(row.columns[col].value.clone()).unwrap()
+        String::from_utf8(row.columns[col].value.to_vec()).unwrap()
     }
 
     #[test]
@@ -529,6 +501,43 @@ mod tests {
         let writes = e.stats().writes;
         e.apply_row(KeyId(0), &Row::new());
         assert_eq!(e.stats().writes, writes);
+    }
+
+    #[test]
+    fn a_row_handed_out_by_get_is_isolated_from_later_writes() {
+        let mut e = StorageEngine::with_defaults();
+        e.apply(KeyId(0), &mutation("f", "before"), Timestamp(1));
+        let snapshot = e.get(KeyId(0)).unwrap();
+        // The reader still holds the row: the write must copy, not mutate it.
+        e.apply(KeyId(0), &mutation("f", "after"), Timestamp(2));
+        e.apply(KeyId(0), &mutation("g", "added"), Timestamp(3));
+        assert_eq!(value_of(&snapshot, "f"), "before");
+        assert_eq!(snapshot.len(), 1);
+        let current = e.get(KeyId(0)).unwrap();
+        assert_eq!(value_of(&current, "f"), "after");
+        assert_eq!(value_of(&current, "g"), "added");
+    }
+
+    #[test]
+    fn replicas_share_a_loaded_payload_and_diverge_independently() {
+        let record = Mutation::ycsb_row(3, 64);
+        let (mut a, mut b) = (
+            StorageEngine::with_defaults(),
+            StorageEngine::with_defaults(),
+        );
+        a.apply(KeyId(0), &record, Timestamp(1));
+        b.apply(KeyId(0), &record, Timestamp(1));
+        let (row_a, row_b) = (a.get(KeyId(0)).unwrap(), b.get(KeyId(0)).unwrap());
+        for (name, payload) in &record.columns {
+            // One allocation behind the mutation and both replicas' cells.
+            assert!(Arc::ptr_eq(&row_a.columns[name].value, payload));
+            assert!(Arc::ptr_eq(&row_b.columns[name].value, payload));
+        }
+        a.apply(KeyId(0), &mutation("field0", "updated"), Timestamp(2));
+        assert_eq!(value_of(&a.get(KeyId(0)).unwrap(), "field0"), "updated");
+        assert_eq!(b.get(KeyId(0)).unwrap(), row_b);
+        assert_eq!(b.digest(KeyId(0)), Some(Timestamp(1)));
+        assert_eq!(a.digest(KeyId(0)), Some(Timestamp(2)));
     }
 
     #[test]
