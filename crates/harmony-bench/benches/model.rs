@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the estimation model: the closed-form
 //! probability (Eq. 6), the replica-count computation (Eq. 8), and the
 //! numerical evaluation of the pre-simplification series (Eq. 2) used to
-//! validate the closed form (DESIGN.md ablation "closed vs numeric").
+//! validate the closed form (see "Microbenchmarks" in `EXPERIMENTS.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harmony_model::decision::decide;

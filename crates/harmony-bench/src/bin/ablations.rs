@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md §6.
+//! Ablation studies for the design choices (`EXPERIMENTS.md`, "Ablations").
 //!
 //! * **Rate estimator** — sliding-window (the paper's periodic collection)
 //!   vs EWMA smoothing: how the choice affects staleness and latency.

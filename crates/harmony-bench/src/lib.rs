@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! Harmony paper's evaluation section (§V), plus Criterion microbenchmarks
-//! for the building blocks and ablation studies of the design choices called
-//! out in `DESIGN.md`.
+//! for the building blocks and ablation studies of the design choices (see
+//! the "Ablations" section of `EXPERIMENTS.md`).
 //!
 //! Each figure has its own binary (`fig4a`, `fig4b`, `fig5_latency`,
 //! `fig5_throughput`, `fig6_staleness`, `headline`, `ablations`); every

@@ -26,6 +26,7 @@ use crate::hashring::HashRing;
 use crate::keys::{KeyId, KeyTable};
 use crate::messages::{Message, OpId, OpKind, StoreEvent};
 use crate::node::{NodeCounters, Stage, StorageNode, WriteStageTelemetry};
+use crate::optable::OpTable;
 use crate::placement::{PlacementCache, ReplicaSet, MAX_RF};
 use crate::types::{Mutation, Row, Timestamp};
 use harmony_chaos::{FaultEvent, FaultState};
@@ -39,7 +40,6 @@ use harmony_sim::topology::{Location, NetworkModel, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Guards a backlog value computed by the store's telemetry scans: a negative
@@ -170,30 +170,45 @@ impl ResponseSet {
 }
 
 #[derive(Debug, Clone)]
-struct PendingRead {
-    key: KeyId,
-    coordinator: NodeId,
-    submitted_at: SimTime,
-    consistency: ConsistencyLevel,
-    required: usize,
+struct ReadProgress {
     contacted: ReplicaSet,
     replica_set: ReplicaSet,
     responses: ResponseSet,
     expected_ts: Timestamp,
-    replied: bool,
 }
 
 #[derive(Debug, Clone)]
-struct PendingWrite {
+struct WriteProgress {
+    replica_count: usize,
+    acks: usize,
+    timestamp: Timestamp,
+}
+
+/// What the coordinator still expects from the replicas of one operation.
+#[derive(Debug, Clone)]
+enum Progress {
+    Read(ReadProgress),
+    Write(WriteProgress),
+    /// Nothing more (all answered, or the reaper gave up on the stragglers):
+    /// only the staged reply is left of the operation.
+    Closed,
+}
+
+/// Everything the cluster tracks for one client operation, from submit until
+/// both its replica traffic and its `ClientReply` are done.
+#[derive(Debug, Clone)]
+struct OpState {
     key: KeyId,
     coordinator: NodeId,
     submitted_at: SimTime,
     consistency: ConsistencyLevel,
     required: usize,
-    replica_count: usize,
-    acks: usize,
-    timestamp: Timestamp,
+    /// The client's reply has been staged (it may already have fired).
     replied: bool,
+    progress: Progress,
+    /// The completion built at quorum close (or abort), held until its
+    /// `ClientReply` event fires.
+    staged: Option<Completion>,
 }
 
 /// The simulated replicated key-value store.
@@ -219,9 +234,8 @@ pub struct Cluster {
     key_table: KeyTable,
     /// Memoised per-key replica sets (flat, indexed by `KeyId`).
     placement: PlacementCache,
-    pending_reads: HashMap<OpId, PendingRead>,
-    pending_writes: HashMap<OpId, PendingWrite>,
-    staged_completions: HashMap<OpId, Completion>,
+    /// Every operation in flight by id; walks are in ascending `OpId` order.
+    ops: OpTable<OpState>,
     /// Newest acknowledged timestamp per key, indexed by `KeyId` (dense ids
     /// make this a flat array instead of a string-keyed map).
     latest_acked: Vec<Timestamp>,
@@ -334,9 +348,7 @@ impl Cluster {
             last_timestamp: 0,
             key_table: KeyTable::new(),
             placement: PlacementCache::new(),
-            pending_reads: HashMap::new(),
-            pending_writes: HashMap::new(),
-            staged_completions: HashMap::new(),
+            ops: OpTable::new(),
             latest_acked: Vec::new(),
             next_coordinator: 0,
             totals: ClusterTotals::default(),
@@ -905,19 +917,22 @@ impl Cluster {
             obs.tracer
                 .start(op.0, "read", key.index() as u64, ctx.now().0 / 1_000, epoch);
         }
-        self.pending_reads.insert(
+        self.ops.insert(
             op,
-            PendingRead {
+            OpState {
                 key,
                 coordinator,
                 submitted_at: ctx.now(),
                 consistency,
                 required: consistency.required_acks(self.config.replication_factor),
-                contacted: ReplicaSet::EMPTY,
-                replica_set: ReplicaSet::EMPTY,
-                responses: ResponseSet::default(),
-                expected_ts,
                 replied: false,
+                progress: Progress::Read(ReadProgress {
+                    contacted: ReplicaSet::EMPTY,
+                    replica_set: ReplicaSet::EMPTY,
+                    responses: ResponseSet::default(),
+                    expected_ts,
+                }),
+                staged: None,
             },
         );
         let delay = self.client_latency();
@@ -977,18 +992,21 @@ impl Cluster {
                 epoch,
             );
         }
-        self.pending_writes.insert(
+        self.ops.insert(
             op,
-            PendingWrite {
+            OpState {
                 key,
                 coordinator,
                 submitted_at: ctx.now(),
                 consistency,
                 required: consistency.required_acks(self.config.replication_factor),
-                replica_count: 0,
-                acks: 0,
-                timestamp: Timestamp::ZERO,
                 replied: false,
+                progress: Progress::Write(WriteProgress {
+                    replica_count: 0,
+                    acks: 0,
+                    timestamp: Timestamp::ZERO,
+                }),
+                staged: None,
             },
         );
         let delay = self.client_latency();
@@ -1176,10 +1194,6 @@ impl Cluster {
             self.stage_abort(op, ctx);
             return;
         }
-        let required = match self.pending_reads.get(&op) {
-            Some(p) => p.required.min(available.len()),
-            None => return,
-        };
         // Contact the `required` replicas closest to the coordinator (snitch
         // behaviour); the rest may receive background read repair afterwards.
         // Sorted on the stack (stable insertion sort — ties keep ring order),
@@ -1223,12 +1237,15 @@ impl Cluster {
             }
             slice.copy_from_slice(&reordered[..slice.len()]);
         }
-        let contacted = ReplicaSet::from_slice(&by_distance[..required.min(available.len())]);
-        if let Some(p) = self.pending_reads.get_mut(&op) {
-            p.replica_set = replica_set;
-            p.contacted = contacted;
-            p.required = required;
-        }
+        let Some(state) = self.ops.get_mut(op) else {
+            return;
+        };
+        let Progress::Read(read) = &mut state.progress else {
+            return;
+        };
+        state.required = state.required.min(available.len());
+        let contacted = ReplicaSet::from_slice(&by_distance[..state.required]);
+        (read.contacted, read.replica_set) = (contacted, replica_set);
         if let Some(obs) = self.obs.as_mut() {
             if obs.tracer.samples(op.0) {
                 let now_us = ctx.now().0 / 1_000;
@@ -1291,7 +1308,8 @@ impl Cluster {
                 samples.push(key);
             }
         }
-        if !self.pending_writes.contains_key(&op) {
+        let is_pending_write = |s: &OpState| matches!(s.progress, Progress::Write(_));
+        if !self.ops.get(op).is_some_and(is_pending_write) {
             return;
         }
         // Writes always go to every replica; the consistency level only
@@ -1342,12 +1360,13 @@ impl Cluster {
                 }
             }
         }
-        if let Some(p) = self.pending_writes.get_mut(&op) {
-            // Only live sends can acknowledge; hinted copies apply later,
-            // long after the client stopped waiting.
-            p.replica_count = sent;
-            p.required = p.required.min(sent.max(1));
-            p.timestamp = timestamp;
+        if let Some(state) = self.ops.get_mut(op) {
+            if let Progress::Write(write) = &mut state.progress {
+                // Only live sends can acknowledge; hinted copies apply later,
+                // long after the client stopped waiting.
+                (write.replica_count, write.timestamp) = (sent, timestamp);
+                state.required = state.required.min(sent.max(1));
+            }
         }
         if sent == 0 {
             // Every replica is down or cut off: the write is hinted
@@ -1462,31 +1481,34 @@ impl Cluster {
         row: Option<Arc<Row>>,
         ctx: &mut C,
     ) {
-        let Some(pending) = self.pending_reads.get_mut(&op) else {
+        let Some(state) = self.ops.get_mut(op) else {
             return;
         };
-        pending.responses.push(from, row);
+        let Progress::Read(read) = &mut state.progress else {
+            return;
+        };
+        read.responses.push(from, row);
         if let Some(obs) = self.obs.as_mut() {
             if obs.tracer.samples(op.0) {
                 obs.tracer.event(
                     op.0,
                     ctx.now().0 / 1_000,
-                    pending.coordinator.0 as i64,
+                    state.coordinator.0 as i64,
                     SpanKind::ResponseReceived,
                     format!(
                         "from node{} ({}/{} required)",
                         from.0,
-                        pending.responses.len(),
-                        pending.required
+                        read.responses.len(),
+                        state.required
                     ),
                 );
             }
         }
-        if pending.replied || pending.responses.len() < pending.required {
+        if state.replied || read.responses.len() < state.required {
             // Either still waiting, or this was a straggler; nothing to do
             // until all contacted replicas answered (handled below).
-            if pending.responses.len() == pending.contacted.len() && pending.replied {
-                self.pending_reads.remove(&op);
+            if read.responses.len() == read.contacted.len() && state.replied {
+                self.close_pending(op);
             }
             return;
         }
@@ -1495,7 +1517,7 @@ impl Cluster {
         // row, agreeing replicas, or one at least as new on every column —
         // that replica's shared row IS the winner (no copy at all); only
         // responses that interleave per column build one fresh merged row.
-        let winner: Arc<Row> = Row::merge_shared(pending.responses.iter().filter_map(|(_, r)| r))
+        let winner: Arc<Row> = Row::merge_shared(read.responses.iter().filter_map(|(_, r)| r))
             .unwrap_or_else(|| Arc::new(Row::new()));
         let returned_ts = winner.latest_timestamp();
         let result = if winner.is_empty() {
@@ -1503,41 +1525,50 @@ impl Cluster {
         } else {
             Some(Arc::clone(&winner))
         };
-        pending.replied = true;
+        state.replied = true;
 
         let completion = Completion {
             op,
             kind: OpKind::Read,
-            key: pending.key,
-            submitted_at: pending.submitted_at,
+            key: state.key,
+            submitted_at: state.submitted_at,
             completed_at: SimTime::ZERO, // filled at ClientReply time
-            consistency: pending.consistency,
-            replicas_contacted: pending.contacted.len(),
+            consistency: state.consistency,
+            replicas_contacted: read.contacted.len(),
             result,
             returned_timestamp: returned_ts,
-            expected_timestamp: pending.expected_ts,
+            expected_timestamp: read.expected_ts,
             stale: false, // decided at ClientReply time
             aborted: false,
         };
-        let coordinator = pending.coordinator;
-        let key = pending.key;
+        let coordinator = state.coordinator;
+        let key = state.key;
         // Read repair towards contacted replicas that returned older data.
         let mut stale_responders = ReplicaSet::EMPTY;
-        for (n, r) in pending.responses.iter() {
-            let ts = r.map(|r| r.latest_timestamp()).unwrap_or(Timestamp::ZERO);
+        for (n, r) in read.responses.iter() {
+            // The winner's timestamp is already known (at ONE it is the only row).
+            let ts = match r {
+                Some(r) if Arc::ptr_eq(r, &winner) => returned_ts,
+                Some(r) => r.latest_timestamp(),
+                None => Timestamp::ZERO,
+            };
             if ts < returned_ts {
                 stale_responders.push(n);
             }
         }
         // Background read repair towards replicas that were not contacted.
         let mut uncontacted = ReplicaSet::EMPTY;
-        for &n in pending.replica_set.as_slice() {
-            if !pending.contacted.as_slice().contains(&n) {
+        for &n in read.replica_set.as_slice() {
+            if !read.contacted.as_slice().contains(&n) {
                 uncontacted.push(n);
             }
         }
-        let fully_answered = pending.responses.len() == pending.contacted.len();
-        let reads_all_replicas = pending.required >= pending.replica_set.len();
+        let reads_all_replicas = state.required >= read.replica_set.len();
+        // Every contacted replica answered: only the staged reply is left.
+        if read.responses.len() == read.contacted.len() {
+            state.progress = Progress::Closed;
+        }
+        state.staged = Some(completion);
 
         if let Some(obs) = self.obs.as_mut() {
             if obs.tracer.samples(op.0) {
@@ -1563,7 +1594,6 @@ impl Cluster {
                 }
             }
         }
-        self.staged_completions.insert(op, completion);
         let mut client_delay = self.client_latency();
         // Strong consistency (level ALL) in the paper's Figure 1: if the
         // replicas disagree, the coordinator repairs the out-of-date replicas
@@ -1630,68 +1660,83 @@ impl Cluster {
                 }
             }
         }
-        if fully_answered {
-            self.pending_reads.remove(&op);
-        }
     }
 
     fn on_write_ack<C: EventCtx<StoreEvent>>(&mut self, op: OpId, from: NodeId, ctx: &mut C) {
         let client_delay = self.client_latency();
-        let Some(pending) = self.pending_writes.get_mut(&op) else {
+        let Some(state) = self.ops.get_mut(op) else {
             return;
         };
-        pending.acks += 1;
+        let Progress::Write(write) = &mut state.progress else {
+            return;
+        };
+        write.acks += 1;
         if let Some(obs) = self.obs.as_mut() {
             if obs.tracer.samples(op.0) {
                 obs.tracer.event(
                     op.0,
                     ctx.now().0 / 1_000,
-                    pending.coordinator.0 as i64,
+                    state.coordinator.0 as i64,
                     SpanKind::ResponseReceived,
                     format!(
                         "ack from node{} ({}/{} required)",
-                        from.0, pending.acks, pending.required
+                        from.0, write.acks, state.required
                     ),
                 );
             }
         }
-        if !pending.replied && pending.acks >= pending.required {
-            pending.replied = true;
+        if !state.replied && write.acks >= state.required {
+            state.replied = true;
             let completion = Completion {
                 op,
                 kind: OpKind::Write,
-                key: pending.key,
-                submitted_at: pending.submitted_at,
+                key: state.key,
+                submitted_at: state.submitted_at,
                 completed_at: SimTime::ZERO,
-                consistency: pending.consistency,
-                replicas_contacted: pending.replica_count,
+                consistency: state.consistency,
+                replicas_contacted: write.replica_count,
                 result: None,
-                returned_timestamp: pending.timestamp,
-                expected_timestamp: pending.timestamp,
+                returned_timestamp: write.timestamp,
+                expected_timestamp: write.timestamp,
                 stale: false,
                 aborted: false,
             };
-            self.staged_completions.insert(op, completion);
+            state.staged = Some(completion);
             ctx.emit(client_delay, StoreEvent::ClientReply { op });
             if let Some(obs) = self.obs.as_mut() {
                 if obs.tracer.samples(op.0) {
                     obs.tracer.event(
                         op.0,
                         ctx.now().0 / 1_000,
-                        pending.coordinator.0 as i64,
+                        state.coordinator.0 as i64,
                         SpanKind::QuorumClose,
-                        format!("{} acks", pending.acks),
+                        format!("{} acks", write.acks),
                     );
                 }
             }
         }
-        if pending.acks >= pending.replica_count {
-            self.pending_writes.remove(&op);
+        if write.acks >= write.replica_count {
+            self.close_pending(op);
+        }
+    }
+
+    /// Marks `op`'s replica traffic as finished, dropping its record unless
+    /// a staged reply is still waiting for its `ClientReply`.
+    fn close_pending(&mut self, op: OpId) {
+        if let Some(state) = self.ops.get_mut(op) {
+            state.progress = Progress::Closed;
+            if state.staged.is_none() {
+                self.ops.remove(op);
+            }
         }
     }
 
     fn on_client_reply(&mut self, op: OpId, now: SimTime) -> Option<Completion> {
-        let mut completion = self.staged_completions.remove(&op)?;
+        let state = self.ops.get_mut(op)?;
+        let mut completion = state.staged.take()?;
+        if matches!(state.progress, Progress::Closed) {
+            self.ops.remove(op);
+        }
         completion.completed_at = now;
         if let Some(obs) = self.obs.as_mut() {
             if obs.tracer.samples(op.0) {
@@ -2279,78 +2324,55 @@ impl Cluster {
     /// through the normal `ClientReply` flow and the session can move on.
     fn stage_abort<C: EventCtx<StoreEvent>>(&mut self, op: OpId, ctx: &mut C) {
         let client_delay = self.client_latency();
-        if let Some(p) = self.pending_reads.get_mut(&op) {
-            if p.replied {
-                return;
-            }
-            p.replied = true;
-            let completion = Completion {
-                op,
-                kind: OpKind::Read,
-                key: p.key,
-                submitted_at: p.submitted_at,
-                completed_at: SimTime::ZERO,
-                consistency: p.consistency,
-                replicas_contacted: 0,
-                result: None,
-                returned_timestamp: Timestamp::ZERO,
-                expected_timestamp: p.expected_ts,
-                stale: false,
-                aborted: true,
-            };
-            // Keep the entry only if straggler responses may still arrive.
-            let done = p.contacted.is_empty() || p.responses.len() == p.contacted.len();
-            self.staged_completions.insert(op, completion);
-            ctx.emit(client_delay, StoreEvent::ClientReply { op });
-            if done {
-                self.pending_reads.remove(&op);
-            }
+        let Some(state) = self.ops.get_mut(op) else {
             return;
+        };
+        // `done`: no straggler response or ack can still arrive.
+        let (kind, expected_timestamp, done) = match &state.progress {
+            _ if state.replied => return,
+            Progress::Read(r) => (
+                OpKind::Read,
+                r.expected_ts,
+                r.contacted.is_empty() || r.responses.len() == r.contacted.len(),
+            ),
+            Progress::Write(w) => (OpKind::Write, Timestamp::ZERO, w.acks >= w.replica_count),
+            Progress::Closed => return,
+        };
+        state.replied = true;
+        state.staged = Some(Completion {
+            op,
+            kind,
+            key: state.key,
+            submitted_at: state.submitted_at,
+            completed_at: SimTime::ZERO,
+            consistency: state.consistency,
+            replicas_contacted: 0,
+            result: None,
+            returned_timestamp: Timestamp::ZERO,
+            expected_timestamp,
+            stale: false,
+            aborted: true,
+        });
+        if done {
+            state.progress = Progress::Closed;
         }
-        if let Some(p) = self.pending_writes.get_mut(&op) {
-            if p.replied {
-                return;
-            }
-            p.replied = true;
-            let completion = Completion {
-                op,
-                kind: OpKind::Write,
-                key: p.key,
-                submitted_at: p.submitted_at,
-                completed_at: SimTime::ZERO,
-                consistency: p.consistency,
-                replicas_contacted: 0,
-                result: None,
-                returned_timestamp: Timestamp::ZERO,
-                expected_timestamp: Timestamp::ZERO,
-                stale: false,
-                aborted: true,
-            };
-            self.staged_completions.insert(op, completion);
-            ctx.emit(client_delay, StoreEvent::ClientReply { op });
-            if p.acks >= p.replica_count {
-                self.pending_writes.remove(&op);
-            }
-        }
+        ctx.emit(client_delay, StoreEvent::ClientReply { op });
+    }
+
+    /// Ids of the operations still expecting replica traffic that satisfy
+    /// `pred`, in ascending `OpId` order.
+    fn open_ops_where(&self, pred: impl Fn(&OpState) -> bool) -> Vec<OpId> {
+        self.ops
+            .iter()
+            .filter(|(_, s)| !matches!(s.progress, Progress::Closed) && pred(s))
+            .map(|(op, _)| op)
+            .collect()
     }
 
     /// Aborts every unanswered operation the given (crashed or leaving) node
     /// was coordinating, in deterministic (`OpId`) order.
     fn abort_ops_coordinated_by<C: EventCtx<StoreEvent>>(&mut self, node: NodeId, ctx: &mut C) {
-        let mut stalled: Vec<OpId> = self
-            .pending_reads
-            .iter()
-            .filter(|(_, p)| p.coordinator == node && !p.replied)
-            .map(|(op, _)| *op)
-            .collect();
-        stalled.extend(
-            self.pending_writes
-                .iter()
-                .filter(|(_, p)| p.coordinator == node && !p.replied)
-                .map(|(op, _)| *op),
-        );
-        stalled.sort_unstable();
-        for op in stalled {
+        for op in self.open_ops_where(|s| s.coordinator == node && !s.replied) {
             self.stage_abort(op, ctx);
         }
     }
@@ -2372,27 +2394,15 @@ impl Cluster {
             return 0;
         }
         let cutoff = now.saturating_sub(timeout);
-        let mut stalled: Vec<OpId> = self
-            .pending_reads
-            .iter()
-            .filter(|(_, p)| !p.replied && p.submitted_at <= cutoff)
-            .map(|(op, _)| *op)
-            .collect();
-        stalled.extend(
-            self.pending_writes
-                .iter()
-                .filter(|(_, p)| !p.replied && p.submitted_at <= cutoff)
-                .map(|(op, _)| *op),
-        );
-        stalled.sort_unstable();
-        let aborted = stalled.len();
-        for op in stalled {
-            self.stage_abort(op, ctx);
+        let mut aborted = 0;
+        for op in self.open_ops_where(|s| s.submitted_at <= cutoff) {
+            if self.ops.get(op).is_some_and(|s| !s.replied) {
+                self.stage_abort(op, ctx);
+                aborted += 1;
+            }
+            // Answered just now or earlier: its stragglers are lost.
+            self.close_pending(op);
         }
-        self.pending_reads
-            .retain(|_, p| !(p.replied && p.submitted_at <= cutoff));
-        self.pending_writes
-            .retain(|_, p| !(p.replied && p.submitted_at <= cutoff));
         aborted
     }
 
@@ -2422,13 +2432,15 @@ impl Cluster {
     /// reads/writes that have not been answered plus staged completions whose
     /// `ClientReply` has not fired yet. Zero once a schedule fully quiesces.
     pub fn unresolved_ops(&self) -> usize {
-        self.pending_reads.values().filter(|p| !p.replied).count()
-            + self.pending_writes.values().filter(|p| !p.replied).count()
-            + self.staged_completions.len()
+        let unanswered = |s: &OpState| !matches!(s.progress, Progress::Closed) && !s.replied;
+        self.ops
+            .iter()
+            .map(|(_, s)| usize::from(unanswered(s)) + usize::from(s.staged.is_some()))
+            .sum()
     }
 
     /// A canonical dump of every protocol-relevant piece of cluster state, in
-    /// a deterministic order (hash maps are walked in sorted key order). Two
+    /// a deterministic order (the op table walks in ascending `OpId` order). Two
     /// clusters with equal digest strings behave identically under any future
     /// event sequence, *except* through the two deliberately excluded fields:
     /// the RNG (its draws only label emitted events with latencies and decide
@@ -2449,50 +2461,29 @@ impl Cluster {
             self.hinted_handoff_enabled,
             self.latest_acked,
         );
-        let mut reads: Vec<_> = self.pending_reads.iter().collect();
-        reads.sort_by_key(|(op, _)| **op);
-        for (op, p) in reads {
-            let _ = write!(
-                s,
-                "r{:?}:{:?},{:?},{:?},{:?},{},{:?},{:?},{:?},{}[",
-                op,
-                p.key,
-                p.coordinator,
-                p.submitted_at,
-                p.consistency,
-                p.required,
-                p.contacted.as_slice(),
-                p.replica_set.as_slice(),
-                p.expected_ts,
-                p.replied,
-            );
-            for (n, row) in p.responses.iter() {
-                let _ = write!(s, "{:?}={:?},", n, row.map(|r| r.latest_timestamp()));
+        for (op, p) in self.ops.iter() {
+            let open = (p.key, p.coordinator, p.submitted_at, p.consistency);
+            match &p.progress {
+                Progress::Read(r) => {
+                    let sets = (r.contacted.as_slice(), r.replica_set.as_slice());
+                    let _ = write!(
+                        s,
+                        "r{op:?}:{open:?},{},{},{sets:?},{:?}[",
+                        p.required, p.replied, r.expected_ts
+                    );
+                    for (n, row) in r.responses.iter() {
+                        let _ = write!(s, "{:?}={:?},", n, row.map(|r| r.latest_timestamp()));
+                    }
+                    s.push_str("];");
+                }
+                Progress::Write(w) => {
+                    let _ = write!(s, "w{op:?}:{open:?},{},{},{w:?};", p.required, p.replied);
+                }
+                Progress::Closed => {}
             }
-            s.push_str("];");
-        }
-        let mut writes: Vec<_> = self.pending_writes.iter().collect();
-        writes.sort_by_key(|(op, _)| **op);
-        for (op, p) in writes {
-            let _ = write!(
-                s,
-                "w{:?}:{:?},{:?},{:?},{:?},{},{},{},{:?},{};",
-                op,
-                p.key,
-                p.coordinator,
-                p.submitted_at,
-                p.consistency,
-                p.required,
-                p.replica_count,
-                p.acks,
-                p.timestamp,
-                p.replied,
-            );
-        }
-        let mut staged: Vec<_> = self.staged_completions.iter().collect();
-        staged.sort_by_key(|(op, _)| **op);
-        for (op, c) in staged {
-            let _ = write!(s, "c{:?}={:?};", op, c);
+            if let Some(c) = &p.staged {
+                let _ = write!(s, "c{op:?}={c:?};");
+            }
         }
         for node in &self.nodes {
             let _ = write!(
@@ -3476,6 +3467,91 @@ mod tests {
         assert_eq!(comps.len(), 1);
         assert!(comps[0].aborted);
         assert_eq!(cluster.totals().ops_aborted, 1);
+    }
+
+    /// An event context that only records what the cluster emits, in
+    /// emission order.
+    struct Recorder {
+        now: SimTime,
+        emitted: Vec<StoreEvent>,
+    }
+
+    impl EventCtx<StoreEvent> for Recorder {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn emit(&mut self, _delay: SimTime, event: StoreEvent) {
+            self.emitted.push(event);
+        }
+    }
+
+    impl Recorder {
+        /// The ops whose `ClientReply` was emitted since the last call.
+        fn take_replies(&mut self) -> Vec<u64> {
+            std::mem::take(&mut self.emitted)
+                .into_iter()
+                .map(|event| match event {
+                    StoreEvent::ClientReply { op } => op.0,
+                    other => panic!("only client replies expected, got {other:?}"),
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn stranded_ops_abort_in_ascending_op_order() {
+        // 24 ops, reads and writes interleaved so that every coordinator
+        // (round-robin over 6 nodes) holds both kinds; none is delivered, so
+        // all of them are stranded. The abort order is part of the
+        // deterministic event sequence (each abort draws a client latency):
+        // it must be ascending `OpId` across reads and writes, which the op
+        // table yields by construction.
+        let (mut cluster, _) = test_cluster(0.3);
+        let mut ctx = Recorder {
+            now: SimTime::ZERO,
+            emitted: Vec::new(),
+        };
+        for i in 0..24u64 {
+            let op = if i % 4 < 2 {
+                cluster.submit_read("k", ConsistencyLevel::Quorum, &mut ctx)
+            } else {
+                let mutation = Mutation::single("f", b"v".to_vec());
+                cluster.submit_write("k", mutation, ConsistencyLevel::Quorum, &mut ctx)
+            };
+            assert_eq!(op, OpId(i));
+        }
+        ctx.emitted.clear(); // the 24 client -> coordinator deliveries
+
+        // Node 0 coordinates reads 0 and 12 and writes 6 and 18.
+        cluster.apply_fault(&FaultEvent::CrashNode { node: NodeId(0) }, &mut ctx);
+        assert_eq!(ctx.take_replies(), vec![0, 6, 12, 18]);
+
+        // The reaper aborts everything else that is older than the timeout,
+        // skipping the four already answered.
+        ctx.now = SimTime::from_secs(2);
+        let aborted = cluster.expire_stalled_ops(SimTime::from_secs(1), &mut ctx);
+        let rest: Vec<u64> = (0..24).filter(|op| op % 6 != 0).collect();
+        assert_eq!(aborted, rest.len());
+        assert_eq!(ctx.take_replies(), rest);
+        // A second sweep finds nothing left to abort or purge.
+        assert_eq!(
+            cluster.expire_stalled_ops(SimTime::from_secs(1), &mut ctx),
+            0
+        );
+        assert!(ctx.emitted.is_empty());
+
+        // Every staged abort is delivered exactly once; a repeated or
+        // unknown reply is a silent no-op.
+        assert_eq!(cluster.unresolved_ops(), 24);
+        for op in 0..24 {
+            let reply = StoreEvent::ClientReply { op: OpId(op) };
+            let completion = cluster.handle(reply.clone(), &mut ctx).expect("staged");
+            assert!(completion.aborted && completion.op == OpId(op));
+            assert_eq!(cluster.handle(reply, &mut ctx), None);
+        }
+        assert_eq!(cluster.unresolved_ops(), 0);
+        assert_eq!(cluster.totals().ops_aborted, 24);
     }
 
     #[test]

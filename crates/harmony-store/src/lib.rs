@@ -59,6 +59,7 @@ pub mod keys;
 pub mod machine;
 pub mod messages;
 pub mod node;
+pub mod optable;
 pub mod placement;
 pub mod shard;
 pub mod types;

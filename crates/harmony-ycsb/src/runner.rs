@@ -24,12 +24,13 @@ use harmony_store::config::StoreConfig;
 use harmony_store::consistency::ConsistencyLevel;
 use harmony_store::keys::KeyId;
 use harmony_store::messages::{OpId, OpKind, StoreEvent};
+use harmony_store::optable::OpTable;
 use harmony_store::shard::ShardPartition;
 use harmony_store::types::{Mutation, Timestamp};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The runner's simulation event type.
@@ -328,6 +329,25 @@ struct OpMeta {
     purpose: Purpose,
 }
 
+/// What the client side remembers about one in-flight operation.
+#[derive(Debug, Clone, Copy)]
+struct ClientOp {
+    meta: OpMeta,
+    /// Retry context; `None` while the policy is disabled (and for dual-read
+    /// verification reads, which are never retried).
+    retry: Option<RetryCtx>,
+    /// The other leg of a racing hedged pair; the bool marks *this* op as
+    /// the duplicate. Both legs point at each other while both are in flight.
+    hedge: Option<(OpId, bool)>,
+}
+
+impl ClientOp {
+    fn new(meta: OpMeta, retry: Option<RetryCtx>) -> Self {
+        let hedge = None;
+        ClientOp { meta, retry, hedge }
+    }
+}
+
 /// Sharded-mode state of one [`Runner`]: the keyspace stripe this event loop
 /// owns and the consistency levels the coordinator last broadcast. When
 /// present, issue paths consult this table instead of the (placeholder)
@@ -395,7 +415,9 @@ pub struct Runner {
     profile_name: String,
     key_chooser: KeyChooser,
     workload_rng: StdRng,
-    in_flight: HashMap<OpId, OpMeta>,
+    /// Every in-flight operation by id. A disabled retry policy leaves the
+    /// records' `retry` / `hedge` fields `None`: one field read per completion.
+    in_flight: OpTable<ClientOp>,
     /// Record index -> interned key id: the per-operation key lookup is a
     /// plain array index, no string formatting or hashing.
     record_ids: Vec<KeyId>,
@@ -403,8 +425,9 @@ pub struct Runner {
     /// same filler payload, so issuing a write is an `Arc` refcount bump
     /// instead of a fresh `BTreeMap` + `String` + `Vec` per operation.
     field_mutations: Vec<Arc<Mutation>>,
-    /// The designated hot keys whose reads are tallied separately.
-    hot_report_keys: HashSet<KeyId>,
+    /// `KeyId`-indexed flags of the designated hot keys whose reads are tallied
+    /// separately; ids past the end are not hot (`hot_key_prefix == 0`: empty).
+    hot_report_keys: Vec<bool>,
     pub(crate) session_active: Vec<bool>,
     pub(crate) current_phase: usize,
     phase_completed_ops: u64,
@@ -413,15 +436,11 @@ pub struct Runner {
     pub(crate) shard: Option<ShardContext>,
     /// Client retry/hedging policy (default: fully disabled).
     retry: RetryPolicy,
-    /// Retry context per in-flight op; only populated while the policy is
-    /// enabled, so the disabled path never touches these maps.
-    retry_ctx: HashMap<OpId, RetryCtx>,
-    /// Backoff-pending retries, keyed by the token in the scheduled event.
+    /// Backoff-pending retries, keyed by the token in the scheduled event
+    /// (like `hedge_checks`, only populated while the policy is enabled).
     pending_retries: HashMap<u64, (OpMeta, RetryCtx)>,
     /// Armed hedge deadlines: token -> the primary read they watch.
     hedge_checks: HashMap<u64, OpId>,
-    /// Both directions of a racing hedged pair; the bool marks the duplicate.
-    hedge_partner: HashMap<OpId, (OpId, bool)>,
     /// Monotonic token source for retry/hedge events.
     retry_token: u64,
     /// Observability knobs (default: all off — byte-identical runs).
@@ -431,6 +450,14 @@ pub struct Runner {
     pub(crate) phase_results: Vec<PhaseResult>,
     pub(crate) phase_stats: RunStats,
     pub(crate) read_level_histogram: BTreeMap<usize, u64>,
+}
+
+/// The `KeyId`-indexed hot-key lookup for the given designated keys.
+fn hot_key_flags(hot: impl Iterator<Item = KeyId>) -> Vec<bool> {
+    let hot: Vec<usize> = hot.map(|key| key.index()).collect();
+    let mut flags = vec![false; hot.iter().max().map_or(0, |max| max + 1)];
+    hot.into_iter().for_each(|index| flags[index] = true);
+    flags
 }
 
 impl Runner {
@@ -462,9 +489,8 @@ impl Runner {
             cluster.load_direct(&name, &row_template, Timestamp(i + 1));
             record_ids.push(cluster.key_id(&name).expect("just loaded"));
         }
-        let hot_report_keys = (0..spec.hot_key_prefix)
-            .map(|i| cluster.intern_key(&record_key(i)))
-            .collect();
+        let hot_report_keys =
+            hot_key_flags((0..spec.hot_key_prefix).map(|i| cluster.intern_key(&record_key(i))));
         let field_mutations = (0..spec.workload.field_count)
             .map(|f| {
                 Arc::new(Mutation::single(
@@ -483,7 +509,7 @@ impl Runner {
             workload_rng: factory.stream("workload"),
             key_chooser,
             profile_name: profile.name.clone(),
-            in_flight: HashMap::new(),
+            in_flight: OpTable::new(),
             record_ids,
             field_mutations,
             hot_report_keys,
@@ -493,10 +519,8 @@ impl Runner {
             insert_counter: 0,
             shard: None,
             retry: RetryPolicy::default(),
-            retry_ctx: HashMap::new(),
             pending_retries: HashMap::new(),
             hedge_checks: HashMap::new(),
-            hedge_partner: HashMap::new(),
             retry_token: 0,
             obs: ObsConfig::off(),
             stats: RunStats::default(),
@@ -541,10 +565,11 @@ impl Runner {
             cluster.load_direct(&name, &row_template, Timestamp(g + 1));
             record_ids.push(cluster.key_id(&name).expect("just loaded"));
         }
-        let hot_report_keys = (0..spec.hot_key_prefix)
-            .filter(|g| partition.owns_global(*g as usize))
-            .map(|g| cluster.intern_key(&record_key(g)))
-            .collect();
+        let hot_report_keys = hot_key_flags(
+            (0..spec.hot_key_prefix)
+                .filter(|g| partition.owns_global(*g as usize))
+                .map(|g| cluster.intern_key(&record_key(g))),
+        );
         let field_mutations = (0..spec.workload.field_count)
             .map(|f| {
                 Arc::new(Mutation::single(
@@ -565,7 +590,7 @@ impl Runner {
             workload_rng: factory.stream("workload"),
             key_chooser,
             profile_name: profile.name.clone(),
-            in_flight: HashMap::new(),
+            in_flight: OpTable::new(),
             record_ids,
             field_mutations,
             hot_report_keys,
@@ -582,10 +607,8 @@ impl Runner {
                 hot: HashMap::new(),
             }),
             retry: RetryPolicy::default(),
-            retry_ctx: HashMap::new(),
             pending_retries: HashMap::new(),
             hedge_checks: HashMap::new(),
-            hedge_partner: HashMap::new(),
             retry_token: 0,
             obs: ObsConfig::off(),
             stats: RunStats::default(),
@@ -666,14 +689,12 @@ impl Runner {
                 // reads at its own level, everything else at the cheap default.
                 let level = self.read_level(key);
                 let op = self.cluster.submit_read_id(key, level, &mut self.sim);
-                self.in_flight.insert(
+                let purpose = Purpose::Normal;
+                self.track_issued(
                     op,
-                    OpMeta {
-                        session,
-                        purpose: Purpose::Normal,
-                    },
+                    OpMeta { session, purpose },
+                    RetryAction::Read { key, level },
                 );
-                self.track_issued(op, RetryAction::Read { key, level });
             }
             Operation::Update => {
                 let key = self.chosen_key();
@@ -698,14 +719,12 @@ impl Runner {
                 let key = self.chosen_key();
                 let level = self.read_level(key);
                 let op = self.cluster.submit_read_id(key, level, &mut self.sim);
-                self.in_flight.insert(
+                let purpose = Purpose::RmwRead;
+                self.track_issued(
                     op,
-                    OpMeta {
-                        session,
-                        purpose: Purpose::RmwRead,
-                    },
+                    OpMeta { session, purpose },
+                    RetryAction::Read { key, level },
                 );
-                self.track_issued(op, RetryAction::Read { key, level });
             }
         }
     }
@@ -745,19 +764,19 @@ impl Runner {
         let op = self
             .cluster
             .submit_write_id(key, mutation, level, &mut self.sim);
-        self.in_flight.insert(op, OpMeta { session, purpose });
-        self.track_issued(op, RetryAction::Write { key, field, level });
+        let meta = OpMeta { session, purpose };
+        self.track_issued(op, meta, RetryAction::Write { key, field, level });
     }
 
-    /// Registers retry context for a freshly issued operation and arms its
-    /// hedge deadline. A no-op while the policy is disabled, so plain runs
-    /// never touch the retry maps or enqueue an event.
-    fn track_issued(&mut self, op: OpId, action: RetryAction) {
-        if !self.retry.enabled() {
-            return;
+    /// Registers a freshly issued operation as in flight and, only while the
+    /// retry policy is enabled, its retry context and hedge deadline.
+    fn track_issued(&mut self, op: OpId, meta: OpMeta, action: RetryAction) {
+        let first_attempt = RetryCtx { attempt: 1, action };
+        let retry = self.retry.enabled().then_some(first_attempt);
+        self.in_flight.insert(op, ClientOp::new(meta, retry));
+        if retry.is_some() {
+            self.arm_hedge(op, action);
         }
-        self.retry_ctx.insert(op, RetryCtx { attempt: 1, action });
-        self.arm_hedge(op, action);
     }
 
     fn arm_hedge(&mut self, op: OpId, action: RetryAction) {
@@ -780,13 +799,10 @@ impl Runner {
     /// A hedge deadline fired: if the watched read is still unanswered and
     /// not already racing a twin, issue the duplicate at the same level.
     fn maybe_hedge(&mut self, primary: OpId) {
-        if self.hedge_partner.contains_key(&primary) {
-            return;
-        }
-        let Some(&meta) = self.in_flight.get(&primary) else {
+        let Some(&watched) = self.in_flight.get(primary) else {
             return;
         };
-        let Some(&ctx) = self.retry_ctx.get(&primary) else {
+        let (meta, Some(ctx), None) = (watched.meta, watched.retry, watched.hedge) else {
             return;
         };
         let RetryAction::Read { key, level } = ctx.action else {
@@ -797,10 +813,12 @@ impl Runner {
         self.cluster.trace_note(dup, now, SpanKind::Hedge, || {
             format!("hedge duplicate of op{}", primary.0)
         });
-        self.in_flight.insert(dup, meta);
-        self.retry_ctx.insert(dup, ctx);
-        self.hedge_partner.insert(primary, (dup, false));
-        self.hedge_partner.insert(dup, (primary, true));
+        let mut twin = ClientOp::new(meta, Some(ctx));
+        twin.hedge = Some((primary, true));
+        self.in_flight.insert(dup, twin);
+        if let Some(p) = self.in_flight.get_mut(primary) {
+            p.hedge = Some((dup, false));
+        }
         self.stats.hedged_reads += 1;
         self.phase_stats.hedged_reads += 1;
     }
@@ -823,8 +841,7 @@ impl Runner {
         self.cluster.trace_note(op, now, SpanKind::Retry, || {
             format!("retry attempt {} after backoff", ctx.attempt)
         });
-        self.in_flight.insert(op, meta);
-        self.retry_ctx.insert(op, ctx);
+        self.in_flight.insert(op, ClientOp::new(meta, Some(ctx)));
         self.arm_hedge(op, ctx.action);
     }
 
@@ -847,7 +864,7 @@ impl Runner {
                         self.phase_stats.read_latency.record(completion.latency());
                         self.stats.reads += 1;
                         self.phase_stats.reads += 1;
-                        let hot = self.hot_report_keys.contains(&completion.key);
+                        let hot = self.hot_report_keys.get(completion.key.index()) == Some(&true);
                         if hot {
                             self.stats.hot_reads += 1;
                             self.phase_stats.hot_reads += 1;
@@ -880,20 +897,18 @@ impl Runner {
     }
 
     pub(crate) fn on_completion(&mut self, completion: Completion) {
-        let Some(meta) = self.in_flight.remove(&completion.op) else {
+        let Some(issued) = self.in_flight.remove(completion.op) else {
             // The losing leg of a settled hedged pair: already accounted.
             return;
         };
-        let ctx = self.retry_ctx.remove(&completion.op);
+        let (meta, ctx, hedge) = (issued.meta, issued.retry, issued.hedge);
 
         if completion.aborted {
             // One leg of a live hedged pair died (e.g. the reaper expired
             // it): the twin is still racing and settles the logical op.
-            if let Some((partner, _)) = self.hedge_partner.remove(&completion.op) {
-                self.hedge_partner.remove(&partner);
-                if self.in_flight.contains_key(&partner) {
-                    return;
-                }
+            if let Some(twin) = hedge.and_then(|(partner, _)| self.in_flight.get_mut(partner)) {
+                twin.hedge = None;
+                return;
             }
             // Retry policy: convert the abort into a backed-off re-issue
             // while attempts remain; the session sleeps through the backoff.
@@ -931,14 +946,10 @@ impl Runner {
 
         // First answer of a hedged pair wins: forget the twin — its eventual
         // completion drops at the in-flight lookup above.
-        if let Some((partner, is_dup)) = self.hedge_partner.remove(&completion.op) {
-            self.hedge_partner.remove(&partner);
-            if self.in_flight.remove(&partner).is_some() {
-                self.retry_ctx.remove(&partner);
-                if is_dup {
-                    self.stats.hedge_wins += 1;
-                    self.phase_stats.hedge_wins += 1;
-                }
+        if let Some((partner, is_dup)) = hedge {
+            if self.in_flight.remove(partner).is_some() && is_dup {
+                self.stats.hedge_wins += 1;
+                self.phase_stats.hedge_wins += 1;
             }
         }
 
@@ -961,13 +972,10 @@ impl Runner {
                     ConsistencyLevel::All,
                     &mut self.sim,
                 );
-                self.in_flight.insert(
-                    op,
-                    OpMeta {
-                        session: meta.session,
-                        purpose: Purpose::Verification(completion.returned_timestamp),
-                    },
-                );
+                let purpose = Purpose::Verification(completion.returned_timestamp);
+                let session = meta.session;
+                self.in_flight
+                    .insert(op, ClientOp::new(OpMeta { session, purpose }, None));
             }
             _ => {
                 self.advance_phase_if_needed();
