@@ -1,18 +1,15 @@
-//! Criterion microbenchmarks for the per-node storage engine: mutation
-//! apply, point reads across memtable + SSTables, flush and compaction —
-//! and for the coordinator's read reconciliation over shared rows.
+//! Criterion microbenchmarks for the per-node storage engine (mutation
+//! apply and point reads on one replica's row map) and for the
+//! coordinator's read reconciliation over shared rows.
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use harmony_store::engine::{EngineConfig, StorageEngine};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use harmony_store::engine::StorageEngine;
 use harmony_store::keys::KeyId;
 use harmony_store::types::{Mutation, Row, Timestamp};
 use std::sync::Arc;
 
-fn loaded_engine(keys: u64, flushed: bool) -> StorageEngine {
-    let mut engine = StorageEngine::new(EngineConfig {
-        memtable_flush_rows: usize::MAX,
-        compaction_threshold: usize::MAX,
-    });
+fn loaded_engine(keys: u64) -> StorageEngine {
+    let mut engine = StorageEngine::default();
     for i in 0..keys {
         engine.apply(
             KeyId(i as u32),
@@ -20,15 +17,12 @@ fn loaded_engine(keys: u64, flushed: bool) -> StorageEngine {
             Timestamp(i + 1),
         );
     }
-    if flushed {
-        engine.flush();
-    }
     engine
 }
 
 fn bench_apply(c: &mut Criterion) {
     c.bench_function("engine/apply_single_column", |b| {
-        let mut engine = StorageEngine::with_defaults();
+        let mut engine = StorageEngine::default();
         let mutation = Mutation::single("field0", vec![b'x'; 100]);
         let mut ts = 0u64;
         b.iter(|| {
@@ -43,7 +37,7 @@ fn bench_apply(c: &mut Criterion) {
 /// whose row a reader still holds (so each apply pays the copy-on-write).
 fn bench_apply_shared_payload(c: &mut Criterion) {
     c.bench_function("engine_apply/shared_payload_rf5_cow", |b| {
-        let mut replicas = vec![StorageEngine::with_defaults(); 5];
+        let mut replicas = vec![StorageEngine::default(); 5];
         let mutation = Mutation::ycsb_row(10, 64);
         let mut ts = 0u64;
         b.iter(|| {
@@ -82,61 +76,14 @@ fn bench_row_reconcile(c: &mut Criterion) {
     }
 }
 
-fn bench_get_memtable(c: &mut Criterion) {
-    let mut engine = loaded_engine(10_000, false);
-    c.bench_function("engine/get_from_memtable_10k_keys", |b| {
+fn bench_get(c: &mut Criterion) {
+    let engine = loaded_engine(10_000);
+    c.bench_function("engine/get_10k_keys", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7) % 10_000;
             black_box(engine.get(KeyId(i as u32)))
         })
-    });
-}
-
-fn bench_get_sstable(c: &mut Criterion) {
-    let mut engine = loaded_engine(10_000, true);
-    c.bench_function("engine/get_from_sstable_10k_keys", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 7) % 10_000;
-            black_box(engine.get(KeyId(i as u32)))
-        })
-    });
-}
-
-fn bench_flush(c: &mut Criterion) {
-    c.bench_function("engine/flush_5k_rows", |b| {
-        b.iter_batched(
-            || loaded_engine(5_000, false),
-            |mut engine| engine.flush(),
-            BatchSize::LargeInput,
-        )
-    });
-}
-
-fn bench_compaction(c: &mut Criterion) {
-    c.bench_function("engine/compact_4_sstables", |b| {
-        b.iter_batched(
-            || {
-                let mut engine = StorageEngine::new(EngineConfig {
-                    memtable_flush_rows: usize::MAX,
-                    compaction_threshold: usize::MAX,
-                });
-                for round in 0..4u64 {
-                    for i in 0..1_000u64 {
-                        engine.apply(
-                            KeyId(i as u32),
-                            &Mutation::single("field0", vec![b'x'; 100]),
-                            Timestamp(round * 10_000 + i),
-                        );
-                    }
-                    engine.flush();
-                }
-                engine
-            },
-            |mut engine| engine.compact(),
-            BatchSize::LargeInput,
-        )
     });
 }
 
@@ -145,9 +92,6 @@ criterion_group!(
     bench_apply,
     bench_apply_shared_payload,
     bench_row_reconcile,
-    bench_get_memtable,
-    bench_get_sstable,
-    bench_flush,
-    bench_compaction
+    bench_get
 );
 criterion_main!(benches);

@@ -45,7 +45,7 @@ use harmony_bench::baseline::{
 use harmony_bench::experiments::{
     config_by_name, run_point, run_point_with_obs, ExperimentConfig, PolicySpec,
 };
-use harmony_bench::report::has_flag;
+use harmony_bench::report::{flag_value, has_flag};
 use harmony_ycsb::ObsConfig;
 use std::time::Instant;
 
@@ -123,10 +123,6 @@ fn run_sweep(name: &str, points: &[SweepPoint]) -> SweepBaseline {
         allocations,
         allocations_per_op: allocations as f64 / operations.max(1) as f64,
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
 
 /// The observability overhead gate: the headline sweep timed with the obs

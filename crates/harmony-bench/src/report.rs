@@ -86,17 +86,17 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
 /// Parses `--json <path>` style arguments: returns the path following the
 /// flag, if present.
 pub fn json_arg(args: &[String]) -> Option<std::path::PathBuf> {
-    args.windows(2)
-        .find(|w| w[0] == "--json")
-        .map(|w| std::path::PathBuf::from(&w[1]))
+    flag_value(args, "--json").map(std::path::PathBuf::from)
 }
 
 /// Parses `--profile <name>` style arguments, defaulting to `default`.
 pub fn profile_arg(args: &[String], default: &str) -> String {
-    args.windows(2)
-        .find(|w| w[0] == "--profile")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| default.to_string())
+    flag_value(args, "--profile").unwrap_or_else(|| default.to_string())
+}
+
+/// The argument following `flag` (e.g. `--out <path>`), if present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
 
 /// Returns true if the flag is present (e.g. `--quick`, `--dual-read`).

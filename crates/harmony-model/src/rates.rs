@@ -9,7 +9,7 @@
 //!   the behaviour closest to the paper's periodic collection;
 //! * [`EwmaRate`] — an exponentially weighted moving average, which smooths
 //!   bursty workloads at the cost of reacting more slowly to phase changes
-//!   (used by the ablation benchmark `ablation_rate_estimator`).
+//!   (compared against the sliding window by the `ablations` bin).
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

@@ -4,9 +4,8 @@
 //! Like the paper's implementation, the collector (a) works from *deltas* of
 //! cumulative counters between consecutive sweeps, (b) measures the duration
 //! of the sweep itself and includes it in the elapsed time used to compute
-//! rates, and (c) aggregates per-pair latency probes into one figure.
+//! rates, and (c) takes the probe's latency figure as `Ln`.
 
-use crate::aggregate::LatencyAggregation;
 use crate::heavy_hitters::HotKeyTracker;
 use crate::probe::ClusterProbe;
 use harmony_model::queueing::MG1Queue;
@@ -31,8 +30,6 @@ pub struct MonitorConfig {
     pub interval_secs: f64,
     /// Rate estimator fed by the counter deltas.
     pub estimator: EstimatorKind,
-    /// How per-pair latency probes are folded into one `Ln` value.
-    pub latency_aggregation: LatencyAggregation,
     /// Modelled cost of probing one node, in milliseconds. The paper's
     /// monitor is multithreaded to keep this overhead low; the overhead is
     /// still accounted for in the rate computation.
@@ -59,7 +56,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             interval_secs: 1.0,
             estimator: EstimatorKind::SlidingWindow(5.0),
-            latency_aggregation: LatencyAggregation::Mean,
             probe_cost_per_node_ms: 0.5,
             probe_threads: 8,
             hot_key_capacity: 64,
@@ -304,12 +300,9 @@ impl Monitor {
             self.predicted_history.clear();
         }
 
-        // Latency probe: aggregate whatever single figure the probe reports.
-        // (Richer probes may fold several pairwise measurements themselves.)
-        let latency_ms = self
-            .config
-            .latency_aggregation
-            .apply(&[probe.probe_latency_ms()]);
+        // Latency probe: the probe reports one figure. (Richer probes may
+        // fold several pairwise measurements themselves.)
+        let latency_ms = probe.probe_latency_ms();
 
         // Failure-detector discount: nodes whose accrual suspicion meets the
         // configured threshold are treated as non-reporting — their entries

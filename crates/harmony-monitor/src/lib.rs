@@ -8,19 +8,17 @@
 //! * inter-node network latency (the paper uses `ping`),
 //!
 //! converts counter deltas into access rates while accounting for the time
-//! the monitoring sweep itself takes, and aggregates per-node latency probes
-//! into the single `Ln` figure fed to the propagation-time model.
+//! the monitoring sweep itself takes, and passes the probe's latency figure
+//! on as the `Ln` fed to the propagation-time model.
 //!
 //! The monitor is deliberately decoupled from the store through the
 //! [`probe::ClusterProbe`] trait so the same code can drive the discrete-event
 //! cluster, the real-threaded live cluster, or a mock in tests.
 
-pub mod aggregate;
 pub mod collector;
 pub mod heavy_hitters;
 pub mod probe;
 
-pub use aggregate::LatencyAggregation;
 pub use collector::{HotKeyStat, Monitor, MonitorConfig, MonitorSample};
 pub use heavy_hitters::{HotKey, HotKeyTracker, SketchEntry, SpaceSavingSketch};
 pub use probe::ClusterProbe;

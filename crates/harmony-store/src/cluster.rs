@@ -2126,7 +2126,7 @@ impl Cluster {
         if !self.faults.reachable(source, target) {
             return;
         }
-        let Some(row) = self.nodes[source.index()].engine_mut().get(key) else {
+        let Some(row) = self.nodes[source.index()].engine().get(key) else {
             return;
         };
         self.totals.ae_rows_streamed += 1;
@@ -2312,7 +2312,7 @@ impl Cluster {
                 if !behind {
                     continue;
                 }
-                let Some(row) = self.nodes[source.index()].engine_mut().get(key) else {
+                let Some(row) = self.nodes[source.index()].engine().get(key) else {
                     continue;
                 };
                 self.nodes[target.index()].engine_mut().apply_row(key, &row);

@@ -73,7 +73,7 @@ impl Default for StoreConfig {
             strategy: ReplicationStrategy::NetworkTopology,
             vnodes_per_node: 16,
             background_read_repair_chance: 0.1,
-            engine: EngineConfig::default(),
+            engine: EngineConfig,
             node_concurrency: 4,
             read_service_ms: 0.35,
             write_service_ms: 0.25,

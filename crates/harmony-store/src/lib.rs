@@ -12,8 +12,8 @@
 //! * consistent-hash token ring with virtual nodes ([`hashring`]);
 //! * rack/datacenter-aware replica placement, the behaviour of Cassandra's
 //!   `OldNetworkTopologyStrategy` ([`placement`]);
-//! * per-node storage engine with commit log, memtable, SSTables and
-//!   compaction ([`engine`]);
+//! * per-node storage engine: one row map per replica with per-column
+//!   last-write-wins reconciliation ([`engine`]);
 //! * per-operation consistency levels `ONE` … `ALL` plus the dynamically
 //!   computed `Replicas(x)` level Harmony uses ([`consistency`]);
 //! * coordinator read/write paths with timestamp reconciliation, asynchronous

@@ -121,7 +121,9 @@ impl StorageNode {
         &self.engine
     }
 
-    /// Mutable access to the storage engine (bulk loading).
+    /// Mutable access to the storage engine, for writes that bypass the
+    /// message layer (bulk loading, rebalance streaming, divergence
+    /// injection in tests).
     pub fn engine_mut(&mut self) -> &mut StorageEngine {
         &mut self.engine
     }
@@ -300,7 +302,7 @@ mod tests {
 
     #[test]
     fn read_write_and_counters() {
-        let mut n = StorageNode::new(NodeId(3), EngineConfig::default(), 2);
+        let mut n = StorageNode::new(NodeId(3), EngineConfig, 2);
         assert!(n.serve_read(K).is_none());
         n.apply_write(K, &Mutation::single("f", b"v".to_vec()), Timestamp(1));
         let row = n.serve_read(K).unwrap();
@@ -313,7 +315,7 @@ mod tests {
 
     #[test]
     fn repair_merges_and_counts_separately() {
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 1);
         n.apply_write(K, &Mutation::single("f", b"old".to_vec()), Timestamp(1));
         let repair = Mutation::single("f", b"new".to_vec()).into_row(Timestamp(5));
         n.apply_repair(K, &repair);
@@ -324,7 +326,7 @@ mod tests {
 
     #[test]
     fn service_slots_limit_concurrency_per_stage() {
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 2);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 2);
         assert!(n.try_start_work(dummy_read(1)).is_some());
         assert!(n.try_start_work(dummy_read(2)).is_some());
         assert_eq!(n.busy_slots(Stage::Read), 2);
@@ -348,7 +350,7 @@ mod tests {
     fn read_and_write_stages_are_independent() {
         // A saturated mutation stage must not block reads — the property that
         // lets a replica serve stale data while a mutation is still queued.
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 1);
         assert!(n.try_start_work(dummy_write(1)).is_some());
         assert!(n.try_start_work(dummy_write(2)).is_none()); // queued behind write 1
         assert_eq!(n.busy_slots(Stage::Write), 1);
@@ -385,13 +387,13 @@ mod tests {
 
     #[test]
     fn concurrency_clamped_to_one() {
-        let n = StorageNode::new(NodeId(0), EngineConfig::default(), 0);
+        let n = StorageNode::new(NodeId(0), EngineConfig, 0);
         assert_eq!(n.concurrency(), 1);
     }
 
     #[test]
     fn fifo_queue_order() {
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 1);
         assert!(n.try_start_work(dummy_read(1)).is_some());
         assert!(n.try_start_work(dummy_read(2)).is_none());
         assert!(n.try_start_work(dummy_read(3)).is_none());
@@ -402,7 +404,7 @@ mod tests {
 
     #[test]
     fn write_stage_telemetry_tracks_arrivals_service_and_queue() {
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 1);
         assert_eq!(n.write_stage_telemetry(), WriteStageTelemetry::default());
         // Two writes arrive: the first starts, the second queues.
         assert!(n.try_start_work(dummy_write(1)).is_some());
@@ -436,7 +438,7 @@ mod tests {
 
     #[test]
     fn digest_reflects_latest_write() {
-        let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
+        let mut n = StorageNode::new(NodeId(0), EngineConfig, 1);
         assert_eq!(n.digest(K), None);
         n.apply_write(K, &Mutation::single("f", b"v".to_vec()), Timestamp(9));
         assert_eq!(n.digest(K), Some(Timestamp(9)));

@@ -112,10 +112,8 @@ impl Row {
     /// source dominates*: if some row already holds the reconciled content —
     /// the sources agree, or one is at least as new on every column — that
     /// row's own `Arc` is returned; only a true per-column interleaving
-    /// builds one fresh merged row. `None` for an empty sequence. Shared by
-    /// the storage engine's read path and the coordinator's response
-    /// reconciliation so the copy-on-write state machine cannot drift
-    /// between them.
+    /// builds one fresh merged row. `None` for an empty sequence. The
+    /// coordinator reconciles replica responses with it.
     pub fn merge_shared<'a>(mut rows: impl Iterator<Item = &'a Arc<Row>>) -> Option<Arc<Row>> {
         let mut best = rows.next()?;
         let mut merged: Option<Row> = None;

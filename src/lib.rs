@@ -20,7 +20,7 @@
 //! | [`harmony_model`] | the stale-read probability model (Eq. 1-8) and rate estimators |
 //! | [`harmony_sim`] | deterministic discrete-event kernel, latency models, Grid'5000/EC2/multi-DC profiles |
 //! | [`harmony_chaos`] | deterministic fault injection and elasticity: typed fault schedules (crashes, partitions, slow replicas, node churn) and the cluster-side fault state |
-//! | [`harmony_store`] | a Cassandra-like quorum-replicated key-value store (ring, placement, commit log/memtable/SSTables, coordinator, read repair) |
+//! | [`harmony_store`] | a Cassandra-like quorum-replicated key-value store (ring, placement, per-replica row maps, coordinator, read repair) |
 //! | [`harmony_monitor`] | the monitoring module (counter/latency collection, rate smoothing) |
 //! | [`harmony_adaptive`] | the adaptive controller plus the static baselines (eventual, strong, quorum) |
 //! | [`harmony_ycsb`] | YCSB-style workloads, closed-loop clients, statistics and staleness measurement |
