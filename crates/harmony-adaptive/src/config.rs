@@ -4,6 +4,7 @@ use harmony_model::perkey::PerKeyModel;
 use harmony_model::queueing::{ProactiveConfig, QueueingModel};
 use harmony_model::staleness::PropagationModel;
 use harmony_monitor::collector::MonitorConfig;
+use harmony_sim::clock::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the controller's per-key split decisions: a strong-read
@@ -75,11 +76,15 @@ impl Default for ControllerConfig {
 impl ControllerConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.monitor.interval_secs <= 0.0 {
-            return Err("monitor interval must be positive".into());
+        // The runner re-arms its monitoring tick every `interval`: an
+        // interval that rounds to zero virtual nanoseconds (or is not a
+        // number at all) would tick forever at one instant.
+        let interval = self.monitor.interval_secs;
+        if !interval.is_finite() || SimTime::from_secs_f64(interval) <= SimTime::ZERO {
+            return Err("monitor interval must be finite and at least one nanosecond".into());
         }
-        if self.avg_write_size_bytes < 0.0 {
-            return Err("average write size must be non-negative".into());
+        if !self.avg_write_size_bytes.is_finite() || self.avg_write_size_bytes < 0.0 {
+            return Err("average write size must be finite and non-negative".into());
         }
         if !self.anti_entropy_repair_rate.is_finite() || self.anti_entropy_repair_rate < 0.0 {
             return Err("anti-entropy repair rate must be finite and non-negative".into());
@@ -102,15 +107,19 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        let mut c = ControllerConfig::default();
-        c.monitor.interval_secs = 0.0;
-        assert!(c.validate().is_err());
+        for bad in [0.0, -1.0, 1e-12, f64::INFINITY, f64::NAN] {
+            let mut c = ControllerConfig::default();
+            c.monitor.interval_secs = bad;
+            assert!(c.validate().is_err(), "interval {bad} must be rejected");
+        }
 
-        let c = ControllerConfig {
-            avg_write_size_bytes: -1.0,
-            ..ControllerConfig::default()
-        };
-        assert!(c.validate().is_err());
+        for bad in [-1.0, f64::INFINITY, f64::NAN] {
+            let c = ControllerConfig {
+                avg_write_size_bytes: bad,
+                ..ControllerConfig::default()
+            };
+            assert!(c.validate().is_err(), "write size {bad} must be rejected");
+        }
 
         let mut c = ControllerConfig::default();
         c.queueing.spread_shape = -1.0;

@@ -43,10 +43,10 @@ use harmony_bench::baseline::{
     SweepBaseline, TrackingAllocator,
 };
 use harmony_bench::experiments::{
-    config_by_name, run_point, run_point_with_obs, ExperimentConfig, PolicySpec,
+    config_by_name, run_point, scaled_workload_a, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{flag_value, has_flag};
-use harmony_ycsb::ObsConfig;
+use harmony_obs::{LatencyHistogram, ObsConfig};
 use std::time::Instant;
 
 // The shared tracking allocator: identical accounting overhead to
@@ -102,7 +102,7 @@ fn fig5_points() -> Vec<SweepPoint> {
 }
 
 fn run_sweep(name: &str, points: &[SweepPoint]) -> SweepBaseline {
-    let mut read_latency = harmony_ycsb::stats::LatencyHistogram::new();
+    let mut read_latency = LatencyHistogram::new();
     let mut operations = 0u64;
     let allocs_before = allocation_calls();
     let started = Instant::now();
@@ -145,8 +145,11 @@ fn measure_obs_overhead(rounds: usize) -> f64 {
         let started = Instant::now();
         let mut obs_operations = 0u64;
         for (config, policy, threads) in &points {
-            let (result, report) =
-                run_point_with_obs(config, policy, *threads, false, ObsConfig::enabled());
+            let spec = config.spec(scaled_workload_a(config.records), *threads);
+            let (result, report) = config
+                .runner(policy, spec)
+                .with_obs(ObsConfig::enabled())
+                .run_with_obs();
             obs_operations += result.stats.operations;
             // Touch the report so the exporter work cannot be optimised out.
             assert!(!report.prometheus_text().is_empty());

@@ -30,15 +30,12 @@
 //! the Prometheus snapshot, a fault-spanning per-op trace, and the decision
 //! audit records around the crash).
 
-use harmony_bench::experiments::{
-    config_by_name, run_workload_point_with_faults, run_workload_point_with_obs, ExperimentConfig,
-    PolicySpec,
-};
+use harmony_bench::experiments::{config_by_name, enable_split, ExperimentConfig, PolicySpec};
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
 use harmony_sim::profiles;
 use harmony_sim::topology::NodeId;
-use harmony_ycsb::runner::ExperimentResult;
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
 use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
 use serde::Serialize;
 
@@ -67,23 +64,37 @@ fn zipfian_workload(config: &ExperimentConfig) -> WorkloadSpec {
     w
 }
 
+/// A runner for one sweep point: the Zipfian workload with its hot prefix
+/// tallied, under the split controller when `split` is set.
+fn point_runner(
+    config: &ExperimentConfig,
+    policy: &PolicySpec,
+    threads: usize,
+    split: bool,
+) -> Runner {
+    let mut config = config.clone();
+    if split {
+        config.controller = enable_split(config.controller);
+    }
+    let spec = ExperimentSpec {
+        hot_key_prefix: HOT_PREFIX,
+        ..config.spec(zipfian_workload(&config), threads)
+    };
+    config.runner(policy, spec)
+}
+
 fn run_point(
     config: &ExperimentConfig,
     policy: &PolicySpec,
     threads: usize,
     faults: FaultSchedule,
 ) -> ExperimentResult {
-    run_workload_point_with_faults(
-        config,
-        zipfian_workload(config),
-        policy,
-        threads,
-        HOT_PREFIX,
-        // The split controller: hot keys get individual decisions, which is
-        // exactly what must hold the hot-key stale rate through a fault.
-        matches!(policy, PolicySpec::Harmony(_)),
-        faults,
-    )
+    // The split controller: hot keys get individual decisions, which is
+    // exactly what must hold the hot-key stale rate through a fault.
+    let split = matches!(policy, PolicySpec::Harmony(_));
+    point_runner(config, policy, threads, split)
+        .with_faults(faults)
+        .run()
 }
 
 fn main() {
@@ -263,16 +274,10 @@ fn dump_observed_crash(
         trace_sample_every: 4,
         ..harmony_ycsb::ObsConfig::enabled()
     };
-    let (result, report) = run_workload_point_with_obs(
-        config,
-        zipfian_workload(config),
-        policy,
-        threads,
-        HOT_PREFIX,
-        true,
-        faults,
-        obs,
-    );
+    let (result, report) = point_runner(config, policy, threads, true)
+        .with_faults(faults)
+        .with_obs(obs)
+        .run_with_obs();
     println!();
     println!(
         "=== observed crash-hot rerun ({} ops, {} fault event(s) applied) ===",

@@ -9,12 +9,12 @@
 //!
 //! Usage: `cargo run --release -p harmony-bench --bin fig4a [-- --quick] [--json out.json]`
 
-use harmony_adaptive::policy::HarmonyPolicy;
 use harmony_bench::experiments::{
     fig4a_thread_phases, grid5000_experiment_config, scaled_workload_a, scaled_workload_b,
+    PolicySpec,
 };
 use harmony_bench::report::{has_flag, json_arg, Table};
-use harmony_ycsb::runner::{run_experiment, ExperimentSpec, Phase};
+use harmony_ycsb::runner::{ExperimentSpec, Phase};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -57,23 +57,13 @@ fn main() {
             .map(|threads| Phase::new(threads, config.operations_for(threads)))
             .collect();
         let spec = ExperimentSpec {
-            workload,
             phases: phases.clone(),
-            seed: config.seed,
-            dual_read_measurement: false,
-            hot_key_prefix: 0,
-            max_virtual_secs: 3_600.0,
+            ..config.spec(workload, 1)
         };
-        let result = run_experiment(
-            &config.profile,
-            config.store.clone(),
-            config.controller,
-            // Figure 4 observes the estimator itself; the 100%-tolerance
-            // Harmony policy computes the estimate while always reading at ONE
-            // (i.e. the static eventual consistency the paper estimates for).
-            Box::new(HarmonyPolicy::new(config.store.replication_factor, 1.0)),
-            spec,
-        );
+        // Figure 4 observes the estimator itself; the 100%-tolerance Harmony
+        // policy computes the estimate while always reading at ONE (i.e. the
+        // static eventual consistency the paper estimates for).
+        let result = config.runner(&PolicySpec::Harmony(1.0), spec).run();
 
         // The per-tick estimate timeline (the curve of Figure 4a).
         for d in &result.decisions {

@@ -14,11 +14,9 @@
 //!
 //! Usage: `cargo run --release -p harmony-bench --bin fig4b [-- --quick] [--json out.json]`
 
-use harmony_adaptive::policy::HarmonyPolicy;
-use harmony_bench::experiments::{ec2_experiment_config, scaled_workload_a};
+use harmony_bench::experiments::{ec2_experiment_config, scaled_workload_a, PolicySpec};
 use harmony_bench::report::{has_flag, json_arg, Table};
 use harmony_model::staleness::{PropagationModel, StaleReadModel};
-use harmony_ycsb::runner::{run_experiment, ExperimentSpec, Phase};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -74,21 +72,8 @@ fn main() {
         config.operations_per_thread = 250;
     }
     let threads = 40;
-    let spec = ExperimentSpec {
-        workload: scaled_workload_a(config.records),
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
-    };
-    let result = run_experiment(
-        &config.profile,
-        config.store.clone(),
-        config.controller,
-        Box::new(HarmonyPolicy::new(config.store.replication_factor, 1.0)),
-        spec,
-    );
+    let spec = config.spec(scaled_workload_a(config.records), threads);
+    let result = config.runner(&PolicySpec::Harmony(1.0), spec).run();
     println!(
         "Observed on the EC2 profile ({} monitoring ticks):",
         result.decisions.len()

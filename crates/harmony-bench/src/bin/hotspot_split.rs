@@ -17,8 +17,11 @@
 //!   cargo run --release -p harmony-bench --bin hotspot_split -- --profile ec2
 //! Flags: `--quick`, `--json <path>`, `--tolerance <frac>`, `--threads <n>`.
 
-use harmony_bench::experiments::{config_by_name, run_workload_point, PolicySpec, SkewRow};
+use harmony_bench::experiments::{
+    config_by_name, enable_split, ExperimentConfig, PolicySpec, SkewRow,
+};
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use harmony_ycsb::runner::ExperimentSpec;
 use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
 
 /// The skews of the sweep with the hot-key prefix reported for each: the
@@ -86,6 +89,10 @@ fn main() {
         asr * 100.0
     );
 
+    let split_config = ExperimentConfig {
+        controller: enable_split(config.controller),
+        ..config.clone()
+    };
     let mut all_rows: Vec<SkewRow> = Vec::new();
     for (distribution, hot_prefix) in skews(config.records) {
         let workload = skewed_workload(config.records, distribution);
@@ -103,14 +110,12 @@ fn main() {
             .into_iter()
             .chain(baselines.iter().map(|p| (*p, false)))
         {
-            let result = run_workload_point(
-                &config,
-                workload.clone(),
-                &policy,
-                threads,
-                hot_prefix,
-                split,
-            );
+            let point_config = if split { &split_config } else { &config };
+            let spec = ExperimentSpec {
+                hot_key_prefix: hot_prefix,
+                ..point_config.spec(workload.clone(), threads)
+            };
+            let result = point_config.runner(&policy, spec).run();
             let row = SkewRow::from_result(&policy, split, threads, &result);
             table.add_row(vec![
                 row.policy.clone(),

@@ -29,7 +29,7 @@ use harmony_bench::experiments::{
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
 use harmony_sim::topology::NodeId;
-use harmony_ycsb::runner::{run_experiment_with_faults, ExperimentResult, ExperimentSpec, Phase};
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Phase};
 use serde::Serialize;
 
 /// One (scenario, controller) sweep point.
@@ -70,28 +70,16 @@ fn run(
     phases: Vec<Phase>,
     faults: FaultSchedule,
 ) -> ExperimentResult {
-    let controller = if proactive {
-        enable_proactive(config.controller)
-    } else {
-        config.controller
-    };
+    let mut config = config.clone();
+    if proactive {
+        config.controller = enable_proactive(config.controller);
+    }
     let policy = PolicySpec::Harmony(config.profile.harmony_settings[0]);
     let spec = ExperimentSpec {
-        workload: scaled_workload_a(config.records),
         phases,
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
+        ..config.spec(scaled_workload_a(config.records), 1)
     };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-    )
+    config.runner(&policy, spec).with_faults(faults).run()
 }
 
 /// Monitoring periods between `step_secs` and the first decision at/after it

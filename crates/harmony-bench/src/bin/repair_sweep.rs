@@ -35,14 +35,12 @@
 //!   cargo run --release -p harmony-bench --bin repair_sweep
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2|multi-dc>`.
 
-use harmony_bench::experiments::{
-    config_by_name, run_workload_point_with_retry, ExperimentConfig, PolicySpec,
-};
+use harmony_bench::experiments::{config_by_name, ExperimentConfig, PolicySpec};
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
 use harmony_sim::profiles;
 use harmony_sim::topology::NodeId;
-use harmony_ycsb::runner::{ExperimentResult, RetryPolicy};
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, RetryPolicy};
 use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
 use serde::Serialize;
 
@@ -149,19 +147,18 @@ fn main() {
         config.profile.name, config.store.replication_factor, threads, HOT_PREFIX
     );
 
+    // The *global* controller: the default read level carries the
+    // escalation, so `replicas_in_read` is the relax signal.
     let run = |config: &ExperimentConfig, faults: FaultSchedule, retry: RetryPolicy| {
-        run_workload_point_with_retry(
-            config,
-            zipfian_workload(config),
-            &harmony,
-            threads,
-            HOT_PREFIX,
-            // The *global* controller: the default read level carries the
-            // escalation, so `replicas_in_read` is the relax signal.
-            false,
-            faults,
-            retry,
-        )
+        let spec = ExperimentSpec {
+            hot_key_prefix: HOT_PREFIX,
+            ..config.spec(zipfian_workload(config), threads)
+        };
+        config
+            .runner(&harmony, spec)
+            .with_faults(faults)
+            .with_retry(retry)
+            .run()
     };
 
     // The no-faults baseline calibrates the schedule: the cut lands mid-run

@@ -8,17 +8,13 @@
 //! of the two platforms, and the tolerated-stale-read settings per platform.
 
 use harmony_adaptive::config::{ControllerConfig, PerKeySplitConfig};
+use harmony_adaptive::controller::AdaptiveController;
 use harmony_adaptive::policy::{ConsistencyPolicy, HarmonyPolicy, StaticPolicy};
-use harmony_chaos::FaultSchedule;
 use harmony_model::queueing::ProactiveConfig;
 use harmony_sim::profiles::{self, ClusterProfile};
 use harmony_store::config::StoreConfig;
-use harmony_ycsb::runner::{
-    run_experiment, run_experiment_with_faults, run_experiment_with_obs, run_experiment_with_retry,
-    ExperimentResult, ExperimentSpec, Phase, RetryPolicy,
-};
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
 use harmony_ycsb::workloads::WorkloadSpec;
-use harmony_ycsb::{ObsConfig, ObsReport};
 use serde::{Deserialize, Serialize};
 
 /// The client thread counts swept in Figures 5 and 6.
@@ -100,6 +96,26 @@ impl ExperimentConfig {
     /// Operations for a run with `threads` client threads.
     pub fn operations_for(&self, threads: usize) -> u64 {
         (self.operations_per_thread * threads as u64).max(self.min_operations)
+    }
+
+    /// The spec of one sweep point: a single phase of `threads` sessions
+    /// running [`ExperimentConfig::operations_for`] operations of `workload`
+    /// under this config's seed. Hot-key tallies and dual reads start off;
+    /// set them with struct update.
+    pub fn spec(&self, workload: WorkloadSpec, threads: usize) -> ExperimentSpec {
+        ExperimentSpec {
+            seed: self.seed,
+            ..ExperimentSpec::single_phase(workload, threads, self.operations_for(threads))
+        }
+    }
+
+    /// A runner for `spec` on this platform, its reads decided by `policy`
+    /// under this config's controller. Faults, retries and observability
+    /// attach through the [`Runner`] builder.
+    pub fn runner(&self, policy: &PolicySpec, spec: ExperimentSpec) -> Runner {
+        let rf = self.store.replication_factor;
+        let controller = AdaptiveController::new(self.controller, rf, policy.build(rf));
+        Runner::new(&self.profile, self.store.clone(), controller, spec)
     }
 }
 
@@ -335,143 +351,6 @@ pub struct SkewRow {
     pub hot_set_size: usize,
 }
 
-/// Runs one experiment for an explicit workload (skew sweeps), optionally
-/// with the per-key split controller instead of the global one.
-pub fn run_workload_point(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-) -> ExperimentResult {
-    run_workload_point_with_faults(
-        config,
-        workload,
-        policy,
-        threads,
-        hot_key_prefix,
-        split,
-        FaultSchedule::empty(),
-    )
-}
-
-/// [`run_workload_point`] with a fault schedule replayed during the run —
-/// the entry point of the `fault_sweep` scenarios. An empty schedule is
-/// byte-identical to the fault-free form.
-pub fn run_workload_point_with_faults(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-) -> ExperimentResult {
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix,
-        max_virtual_secs: 3_600.0,
-    };
-    let controller = if split {
-        enable_split(config.controller)
-    } else {
-        config.controller
-    };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-    )
-}
-
-/// [`run_workload_point_with_faults`] with the observability layer switched
-/// on: sampled per-op traces, the flight recorder, the metrics registry and
-/// the controller decision audit ride along and come back as an
-/// [`ObsReport`]. `ObsConfig::off()` reproduces the fault-aware form byte
-/// for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_point_with_obs(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix,
-        max_virtual_secs: 3_600.0,
-    };
-    let controller = if split {
-        enable_split(config.controller)
-    } else {
-        config.controller
-    };
-    run_experiment_with_obs(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-        obs,
-    )
-}
-
-/// [`run_workload_point_with_faults`] with a client-side retry/hedging
-/// policy in the loop — the entry point of the `repair_sweep` arms. The
-/// repair knobs themselves are carried by the config (the store's
-/// anti-entropy interval, the controller's repair-aware staleness model); a
-/// default retry policy plus an unarmed config is byte-identical to the
-/// fault-aware form.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_point_with_retry(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix,
-        max_virtual_secs: 3_600.0,
-    };
-    let controller = if split {
-        enable_split(config.controller)
-    } else {
-        config.controller
-    };
-    run_experiment_with_retry(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-        retry,
-    )
-}
-
 impl SkewRow {
     /// Builds a row from an experiment result.
     pub fn from_result(
@@ -499,58 +378,19 @@ impl SkewRow {
     }
 }
 
-/// Runs one experiment for a (policy, thread count) point.
+/// Runs one experiment for a (policy, thread count) point of the paper's
+/// workload A.
 pub fn run_point(
     config: &ExperimentConfig,
     policy: &PolicySpec,
     threads: usize,
     dual_read: bool,
 ) -> ExperimentResult {
-    let workload = scaled_workload_a(config.records);
     let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
         dual_read_measurement: dual_read,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
+        ..config.spec(scaled_workload_a(config.records), threads)
     };
-    run_experiment(
-        &config.profile,
-        config.store.clone(),
-        config.controller,
-        policy.build(config.store.replication_factor),
-        spec,
-    )
-}
-
-/// [`run_point`] with the observability layer on — the arm the
-/// obs-overhead gate times against the plain form.
-pub fn run_point_with_obs(
-    config: &ExperimentConfig,
-    policy: &PolicySpec,
-    threads: usize,
-    dual_read: bool,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
-    let workload = scaled_workload_a(config.records);
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: dual_read,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
-    };
-    run_experiment_with_obs(
-        &config.profile,
-        config.store.clone(),
-        config.controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        FaultSchedule::empty(),
-        obs,
-    )
+    config.runner(policy, spec).run()
 }
 
 /// Runs the full thread-count sweep for every policy in `policies`.

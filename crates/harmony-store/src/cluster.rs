@@ -129,6 +129,38 @@ pub struct ClusterTotals {
     pub ae_rows_streamed: u64,
 }
 
+impl ClusterTotals {
+    /// Adds `other` field by field — how a sharded run merges its shards'
+    /// totals. The destructuring is exhaustive, so a new field does not
+    /// compile until it is merged here.
+    pub fn absorb(&mut self, other: &ClusterTotals) {
+        let ClusterTotals {
+            reads_submitted,
+            writes_submitted,
+            reads_completed,
+            writes_completed,
+            stale_reads,
+            repairs_issued,
+            ops_aborted,
+            protocol_drops,
+            hints_evicted,
+            ae_rounds,
+            ae_rows_streamed,
+        } = *other;
+        self.reads_submitted += reads_submitted;
+        self.writes_submitted += writes_submitted;
+        self.reads_completed += reads_completed;
+        self.writes_completed += writes_completed;
+        self.stale_reads += stale_reads;
+        self.repairs_issued += repairs_issued;
+        self.ops_aborted += ops_aborted;
+        self.protocol_drops += protocol_drops;
+        self.hints_evicted += hints_evicted;
+        self.ae_rounds += ae_rounds;
+        self.ae_rows_streamed += ae_rows_streamed;
+    }
+}
+
 /// Replica read responses collected inline (no per-read heap allocation):
 /// at most [`MAX_RF`] `(replica, row)` pairs.
 #[derive(Debug, Clone)]
@@ -2554,6 +2586,44 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn totals_absorb_adds_every_field() {
+        let one = ClusterTotals {
+            reads_submitted: 1,
+            writes_submitted: 2,
+            reads_completed: 3,
+            writes_completed: 4,
+            stale_reads: 5,
+            repairs_issued: 6,
+            ops_aborted: 7,
+            protocol_drops: 8,
+            hints_evicted: 9,
+            ae_rounds: 10,
+            ae_rows_streamed: 11,
+        };
+        let mut sum = one;
+        sum.absorb(&one);
+        assert_eq!(
+            sum,
+            ClusterTotals {
+                reads_submitted: 2,
+                writes_submitted: 4,
+                reads_completed: 6,
+                writes_completed: 8,
+                stale_reads: 10,
+                repairs_issued: 12,
+                ops_aborted: 14,
+                protocol_drops: 16,
+                hints_evicted: 18,
+                ae_rounds: 20,
+                ae_rows_streamed: 22,
+            }
+        );
+        let mut from_zero = ClusterTotals::default();
+        from_zero.absorb(&one);
+        assert_eq!(from_zero, one);
+    }
     use harmony_sim::engine::Simulation;
     use harmony_sim::latency::Latency;
 

@@ -6,12 +6,17 @@
 //! read, latency/throughput statistics, and the two staleness-measurement
 //! mechanisms (simulator ground truth, and the paper's dual-read method).
 //!
-//! The main entry point is [`runner::run_experiment`], which assembles the
-//! cluster from a [`harmony_sim::profiles::ClusterProfile`], performs the
-//! load phase, runs the transaction phases under the given policy, and
+//! Every experiment is built by [`runner::Runner::new`] and driven by one
+//! event loop. [`runner::run_experiment`] is its short form: it assembles
+//! the cluster from a [`harmony_sim::profiles::ClusterProfile`], performs
+//! the load phase, runs the transaction phases under the given policy, and
 //! returns an [`runner::ExperimentResult`] with everything the paper's
 //! figures plot: 99th-percentile read latency, throughput, stale-read counts
-//! and the stale-read-estimate timeline.
+//! and the stale-read-estimate timeline. Fault schedules, client retries and
+//! observability attach through the builder —
+//! `Runner::new(..).with_faults(..).with_retry(..).with_obs(..)` — and
+//! [`sharded::run_sharded_experiment`] splits the same run across per-stripe
+//! event loops on several cores.
 //!
 //! ## Example
 //!
@@ -48,12 +53,11 @@ pub mod workloads;
 pub mod prelude {
     pub use crate::distributions::{record_key, KeyChooser};
     pub use crate::runner::{
-        run_experiment, run_experiment_with_faults, run_experiment_with_obs,
-        run_experiment_with_retry, ExperimentResult, ExperimentSpec, Phase, PhaseResult,
-        RetryPolicy, Runner, RunnerEvent, CHAOS_OP_TIMEOUT,
+        run_experiment, ExperimentResult, ExperimentSpec, Phase, PhaseResult, RetryPolicy, Runner,
+        RunnerEvent, CHAOS_OP_TIMEOUT,
     };
     pub use crate::sharded::{run_sharded_experiment, run_sharded_experiment_with_obs};
-    pub use crate::stats::{LatencyHistogram, LatencySummary, RunStats};
+    pub use crate::stats::RunStats;
     pub use crate::workloads::{Operation, RequestDistribution, WorkloadSpec};
     pub use harmony_chaos::{
         FaultCounters, FaultEvent, FaultSchedule, FaultState, RandomFaultConfig, ScheduledFault,

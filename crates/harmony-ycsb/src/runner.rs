@@ -9,6 +9,7 @@
 //! the thread-count sweeps of Figures 4-6.
 
 use crate::distributions::{record_key, KeyChooser};
+use crate::sharded::ShardContext;
 use crate::stats::RunStats;
 use crate::workloads::{Operation, WorkloadSpec};
 use harmony_adaptive::controller::{AdaptiveController, DecisionRecord, HotKeyDecision};
@@ -30,7 +31,7 @@ use harmony_store::types::{Mutation, Timestamp};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The runner's simulation event type.
@@ -43,12 +44,13 @@ pub enum RunnerEvent {
     /// A scheduled fault fires (chaos mode only: an empty fault schedule
     /// never enqueues one of these, keeping fault-free runs byte-identical).
     Fault(FaultEvent),
-    /// A pending client retry's backoff expires (retry policy only: a
-    /// disabled policy never enqueues one, keeping plain runs byte-identical).
-    Retry(u64),
-    /// A hedging deadline: if the referenced read is still unanswered, race a
+    /// The backoff of the retry pending for this aborted operation expires
+    /// (retry policy only: a disabled policy never enqueues one, keeping
+    /// plain runs byte-identical).
+    Retry(OpId),
+    /// A hedging deadline: if this read is still unanswered, race a
     /// duplicate against it (hedging only; never enqueued when disabled).
-    HedgeCheck(u64),
+    HedgeCheck(OpId),
     /// A periodic anti-entropy repair round (only scheduled when the store
     /// config arms `anti_entropy_interval_secs`).
     AntiEntropyTick,
@@ -348,70 +350,19 @@ impl ClientOp {
     }
 }
 
-/// Sharded-mode state of one [`Runner`]: the keyspace stripe this event loop
-/// owns and the consistency levels the coordinator last broadcast. When
-/// present, issue paths consult this table instead of the (placeholder)
-/// local controller — the real controller lives on the coordinator and sees
-/// the merged cluster view.
-pub(crate) struct ShardContext {
-    /// This event loop's stripe of the global keyspace.
-    pub(crate) partition: ShardPartition,
-    /// Records owned locally during the load phase; local ids below this are
-    /// load-phase keys with purely arithmetic global ids.
-    pub(crate) local_records: usize,
-    /// The first global record index this shard's inserts use; the `k`-th
-    /// insert names global record `insert_base + k * shards`, keeping insert
-    /// names disjoint across shards and owned locally.
-    pub(crate) insert_base: u64,
-    /// Default read level from the last coordinator directive.
-    pub(crate) default_read: ConsistencyLevel,
-    /// Write level from the last coordinator directive.
-    pub(crate) write: ConsistencyLevel,
-    /// Escalated per-key read levels (local ids) from the last directive.
-    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
-}
-
-impl ShardContext {
-    /// Translates a *local* interned id to the coordinator's *global* id.
-    pub(crate) fn local_to_global_key(&self, id: KeyId) -> KeyId {
-        let l = id.index();
-        if l < self.local_records {
-            self.partition.local_key_to_global(id)
-        } else {
-            let k = (l - self.local_records) as u64;
-            KeyId((self.insert_base + k * self.partition.shards() as u64) as u32)
-        }
-    }
-
-    /// Translates an owned *global* id back to the local interned id, if the
-    /// key exists on this shard (`key_count` = current interner size).
-    pub(crate) fn global_to_local_key(&self, id: KeyId, key_count: usize) -> Option<KeyId> {
-        let g = id.index();
-        if !self.partition.owns_global(g) {
-            return None;
-        }
-        let l = self.partition.global_to_local(g);
-        let local = if l < self.local_records {
-            l
-        } else if g as u64 >= self.insert_base {
-            let k = ((g as u64 - self.insert_base) / self.partition.shards() as u64) as usize;
-            self.local_records + k
-        } else {
-            return None;
-        };
-        (local < key_count).then_some(KeyId(local as u32))
-    }
-}
-
-/// The experiment runner. Most users call [`run_experiment`] instead of
-/// driving this type directly.
+/// The experiment runner: every experiment, classic or one shard of a
+/// sharded run, is built by one constructor and driven by one event loop.
+/// [`Runner::new`] builds a classic run. [`run_experiment`] is the short form of
+/// `Runner::new(..).run()`; faults, client retries and observability attach
+/// through the builder — [`Runner::with_faults`], [`Runner::with_retry`],
+/// [`Runner::with_obs`] — before [`Runner::run`] or [`Runner::run_with_obs`].
 pub struct Runner {
     pub(crate) cluster: Cluster,
     pub(crate) sim: Simulation<RunnerEvent>,
-    pub(crate) controller: AdaptiveController,
-    pub(crate) spec: ExperimentSpec,
+    controller: AdaptiveController,
+    spec: ExperimentSpec,
     /// The fault schedule to replay (empty = no chaos layer at all).
-    pub(crate) faults: FaultSchedule,
+    faults: FaultSchedule,
     profile_name: String,
     key_chooser: KeyChooser,
     workload_rng: StdRng,
@@ -428,36 +379,25 @@ pub struct Runner {
     /// `KeyId`-indexed flags of the designated hot keys whose reads are tallied
     /// separately; ids past the end are not hot (`hot_key_prefix == 0`: empty).
     hot_report_keys: Vec<bool>,
-    pub(crate) session_active: Vec<bool>,
-    pub(crate) current_phase: usize,
+    session_active: Vec<bool>,
+    current_phase: usize,
     phase_completed_ops: u64,
     insert_counter: u64,
     /// Sharded-mode stripe + directive state (`None` = classic single loop).
     pub(crate) shard: Option<ShardContext>,
     /// Client retry/hedging policy (default: fully disabled).
     retry: RetryPolicy,
-    /// Backoff-pending retries, keyed by the token in the scheduled event
-    /// (like `hedge_checks`, only populated while the policy is enabled).
-    pending_retries: HashMap<u64, (OpMeta, RetryCtx)>,
-    /// Armed hedge deadlines: token -> the primary read they watch.
-    hedge_checks: HashMap<u64, OpId>,
-    /// Monotonic token source for retry/hedge events.
-    retry_token: u64,
+    /// Backoff-pending retries, keyed by the aborted operation's id that the
+    /// scheduled [`RunnerEvent::Retry`] carries (only populated while the
+    /// policy is enabled).
+    pending_retries: OpTable<(OpMeta, RetryCtx)>,
     /// Observability knobs (default: all off — byte-identical runs).
     pub(crate) obs: ObsConfig,
     // Accumulated output.
     pub(crate) stats: RunStats,
     pub(crate) phase_results: Vec<PhaseResult>,
-    pub(crate) phase_stats: RunStats,
+    phase_stats: RunStats,
     pub(crate) read_level_histogram: BTreeMap<usize, u64>,
-}
-
-/// The `KeyId`-indexed hot-key lookup for the given designated keys.
-fn hot_key_flags(hot: impl Iterator<Item = KeyId>) -> Vec<bool> {
-    let hot: Vec<usize> = hot.map(|key| key.index()).collect();
-    let mut flags = vec![false; hot.iter().max().map_or(0, |max| max + 1)];
-    hot.into_iter().for_each(|index| flags[index] = true);
-    flags
 }
 
 impl Runner {
@@ -469,107 +409,60 @@ impl Runner {
         controller: AdaptiveController,
         spec: ExperimentSpec,
     ) -> Self {
-        spec.validate()
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let factory = RngFactory::new(spec.seed);
-        let mut cluster = Cluster::new(
-            store_config,
-            profile.topology.clone(),
-            profile.network.clone(),
-            factory,
-        );
-        // Load phase (YCSB "load"): populate every record on all its replicas.
-        // Interning happens here, in record order, so record `i` gets the
-        // dense id `KeyId(i)` and the transaction phase never touches a key
-        // string again.
-        let row_template = Mutation::ycsb_row(spec.workload.field_count, spec.workload.field_size);
-        let mut record_ids = Vec::with_capacity(spec.workload.record_count as usize);
-        for i in 0..spec.workload.record_count {
-            let name = record_key(i);
-            cluster.load_direct(&name, &row_template, Timestamp(i + 1));
-            record_ids.push(cluster.key_id(&name).expect("just loaded"));
-        }
-        let hot_report_keys =
-            hot_key_flags((0..spec.hot_key_prefix).map(|i| cluster.intern_key(&record_key(i))));
-        let field_mutations = (0..spec.workload.field_count)
-            .map(|f| {
-                Arc::new(Mutation::single(
-                    format!("field{f}"),
-                    vec![b'u'; spec.workload.field_size],
-                ))
-            })
-            .collect();
-        let max_threads = spec.phases.iter().map(|p| p.threads).max().unwrap_or(1);
-        let key_chooser = spec.workload.key_chooser();
-        Runner {
-            cluster,
-            sim: Simulation::new(spec.seed),
-            controller,
-            faults: FaultSchedule::empty(),
-            workload_rng: factory.stream("workload"),
-            key_chooser,
-            profile_name: profile.name.clone(),
-            in_flight: OpTable::new(),
-            record_ids,
-            field_mutations,
-            hot_report_keys,
-            session_active: vec![false; max_threads],
-            current_phase: 0,
-            phase_completed_ops: 0,
-            insert_counter: 0,
-            shard: None,
-            retry: RetryPolicy::default(),
-            pending_retries: HashMap::new(),
-            hedge_checks: HashMap::new(),
-            retry_token: 0,
-            obs: ObsConfig::off(),
-            stats: RunStats::default(),
-            phase_results: Vec::new(),
-            phase_stats: RunStats::default(),
-            read_level_histogram: BTreeMap::new(),
-            spec,
-        }
+        Self::build(profile, store_config, controller, spec, None)
     }
 
-    /// Builds one shard's runner: the same construction as [`Runner::new`]
-    /// but loading only the records of `partition`'s stripe, in ascending
-    /// global order — so local interned ids stay dense and the local↔global
-    /// mapping is pure arithmetic ([`ShardContext`]). The shard's RNG
-    /// streams derive from `mix(seed, stripe)` so shards draw independent
-    /// (but run-to-run identical) workload sequences, and the passed
-    /// `controller` is a placeholder: it fixes the monitoring cadence but
-    /// never decides a level — levels arrive by coordinator directive.
-    pub(crate) fn new_sharded(
+    /// The one constructor behind [`Runner::new`] and the shard runners.
+    ///
+    /// With a `partition` the runner is one shard of a sharded run: it loads
+    /// only the records of the partition's stripe, in ascending global order
+    /// — so local interned ids stay dense and the local↔global mapping is
+    /// pure arithmetic ([`ShardContext`]) — and its RNG streams derive from
+    /// `mix(seed, stripe)` so shards draw independent (but run-to-run
+    /// identical) workload sequences. A shard's `controller` is a
+    /// placeholder: it fixes the monitoring cadence but never decides a
+    /// level — levels arrive by coordinator directive.
+    pub(crate) fn build(
         profile: &ClusterProfile,
         store_config: StoreConfig,
         controller: AdaptiveController,
         spec: ExperimentSpec,
-        partition: ShardPartition,
+        partition: Option<ShardPartition>,
     ) -> Self {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let shard_seed = harmony_sim::rng::mix(spec.seed, 0x5348_5244 + partition.index() as u64);
-        let factory = RngFactory::new(shard_seed);
+        let seed = match partition {
+            Some(p) => harmony_sim::rng::mix(spec.seed, 0x5348_5244 + p.index() as u64),
+            None => spec.seed,
+        };
+        let factory = RngFactory::new(seed);
         let mut cluster = Cluster::new(
             store_config,
             profile.topology.clone(),
             profile.network.clone(),
             factory,
         );
+        // Load phase (YCSB "load"): populate every owned record on all its
+        // replicas. Interning happens here, in record order, so the `i`-th
+        // owned record gets the dense id `KeyId(i)` and the transaction phase
+        // never touches a key string again.
+        let record_count = spec.workload.record_count as usize;
         let row_template = Mutation::ycsb_row(spec.workload.field_count, spec.workload.field_size);
-        let local_records = partition.local_count(spec.workload.record_count as usize);
+        let local_records = partition.map_or(record_count, |p| p.local_count(record_count));
         let mut record_ids = Vec::with_capacity(local_records);
         for local in 0..local_records {
-            let g = partition.local_to_global(local) as u64;
-            let name = record_key(g);
-            cluster.load_direct(&name, &row_template, Timestamp(g + 1));
+            let global = partition.map_or(local, |p| p.local_to_global(local)) as u64;
+            let name = record_key(global);
+            cluster.load_direct(&name, &row_template, Timestamp(global + 1));
             record_ids.push(cluster.key_id(&name).expect("just loaded"));
         }
-        let hot_report_keys = hot_key_flags(
-            (0..spec.hot_key_prefix)
-                .filter(|g| partition.owns_global(*g as usize))
-                .map(|g| cluster.intern_key(&record_key(g))),
-        );
+        let hot: Vec<usize> = (0..spec.hot_key_prefix)
+            .filter(|&global| partition.is_none_or(|p| p.owns_global(global as usize)))
+            .map(|global| cluster.intern_key(&record_key(global)).index())
+            .collect();
+        let mut hot_report_keys = vec![false; hot.iter().max().map_or(0, |max| max + 1)];
+        hot.into_iter()
+            .for_each(|index| hot_report_keys[index] = true);
         let field_mutations = (0..spec.workload.field_count)
             .map(|f| {
                 Arc::new(Mutation::single(
@@ -580,11 +473,10 @@ impl Runner {
             .collect();
         let max_threads = spec.phases.iter().map(|p| p.threads).max().unwrap_or(1);
         let key_chooser = spec.workload.key_chooser();
-        let insert_base =
-            partition.first_owned_at_or_after(spec.workload.record_count as usize) as u64;
+        let shard = partition.map(|p| ShardContext::new(p, local_records, record_count));
         Runner {
             cluster,
-            sim: Simulation::new(shard_seed),
+            sim: Simulation::new(seed),
             controller,
             faults: FaultSchedule::empty(),
             workload_rng: factory.stream("workload"),
@@ -598,18 +490,9 @@ impl Runner {
             current_phase: 0,
             phase_completed_ops: 0,
             insert_counter: 0,
-            shard: Some(ShardContext {
-                partition,
-                local_records,
-                insert_base,
-                default_read: ConsistencyLevel::One,
-                write: ConsistencyLevel::One,
-                hot: HashMap::new(),
-            }),
+            shard,
             retry: RetryPolicy::default(),
-            pending_retries: HashMap::new(),
-            hedge_checks: HashMap::new(),
-            retry_token: 0,
+            pending_retries: OpTable::new(),
             obs: ObsConfig::off(),
             stats: RunStats::default(),
             phase_results: Vec::new(),
@@ -661,7 +544,7 @@ impl Runner {
         self
     }
 
-    pub(crate) fn phase(&self) -> Phase {
+    fn phase(&self) -> Phase {
         self.spec.phases[self.current_phase.min(self.spec.phases.len() - 1)]
     }
 
@@ -675,7 +558,7 @@ impl Runner {
         }
     }
 
-    pub(crate) fn issue_next_op(&mut self, session: usize) {
+    fn issue_next_op(&mut self, session: usize) {
         if session >= self.phase().threads || self.current_phase >= self.spec.phases.len() {
             self.session_active[session] = false;
             return;
@@ -787,12 +670,9 @@ impl Runner {
         let RetryAction::Read { .. } = action else {
             return;
         };
-        self.retry_token += 1;
-        let token = self.retry_token;
-        self.hedge_checks.insert(token, op);
         self.sim.schedule_in(
             SimTime::from_millis_f64(self.retry.hedge_after_ms),
-            RunnerEvent::HedgeCheck(token),
+            RunnerEvent::HedgeCheck(op),
         );
     }
 
@@ -896,7 +776,7 @@ impl Runner {
         }
     }
 
-    pub(crate) fn on_completion(&mut self, completion: Completion) {
+    fn on_completion(&mut self, completion: Completion) {
         let Some(issued) = self.in_flight.remove(completion.op) else {
             // The losing leg of a settled hedged pair: already accounted.
             return;
@@ -916,20 +796,15 @@ impl Runner {
                 if c.attempt < self.retry.max_attempts {
                     self.stats.retries += 1;
                     self.phase_stats.retries += 1;
-                    self.retry_token += 1;
-                    let token = self.retry_token;
-                    self.pending_retries.insert(
-                        token,
-                        (
-                            meta,
-                            RetryCtx {
-                                attempt: c.attempt + 1,
-                                action: c.action,
-                            },
-                        ),
+                    let next = RetryCtx {
+                        attempt: c.attempt + 1,
+                        action: c.action,
+                    };
+                    self.pending_retries.insert(completion.op, (meta, next));
+                    self.sim.schedule_in(
+                        self.retry.backoff(c.attempt),
+                        RunnerEvent::Retry(completion.op),
                     );
-                    self.sim
-                        .schedule_in(self.retry.backoff(c.attempt), RunnerEvent::Retry(token));
                     return;
                 }
             }
@@ -984,7 +859,7 @@ impl Runner {
         }
     }
 
-    pub(crate) fn advance_phase_if_needed(&mut self) {
+    fn advance_phase_if_needed(&mut self) {
         if self.current_phase >= self.spec.phases.len() {
             return;
         }
@@ -1074,13 +949,35 @@ impl Runner {
     }
 
     fn execute(&mut self) -> ExperimentResult {
+        let divergence_timeline = self.drive(&mut LocalController);
+        ExperimentResult {
+            policy: self.controller.policy_name(),
+            workload: self.spec.workload.name.clone(),
+            profile: self.profile_name.clone(),
+            stats: std::mem::take(&mut self.stats),
+            phase_results: std::mem::take(&mut self.phase_results),
+            decisions: self.controller.decisions().to_vec(),
+            read_level_histogram: std::mem::take(&mut self.read_level_histogram),
+            cluster_totals: self.cluster.totals(),
+            hot_set: self.controller.hot_set().to_vec(),
+            fault_counters: self.cluster.fault_state().counters(),
+            divergence_timeline,
+        }
+    }
+
+    /// The event loop every run goes through, classic or one shard of a
+    /// sharded run: `step` decides levels at t0 and on every monitoring
+    /// tick, and is the only part that differs between the two. Returns the
+    /// divergence timeline (empty unless `M::SAMPLES_DIVERGENCE` and a fault
+    /// schedule is armed).
+    pub(crate) fn drive<M: MonitorStep>(&mut self, step: &mut M) -> Vec<DivergenceSample> {
         let deadline = SimTime::from_secs_f64(self.spec.max_virtual_secs);
         self.stats.started_at = self.sim.now();
         self.phase_stats.started_at = self.sim.now();
 
-        // Initial controller tick so the first reads use a level based on an
-        // (idle) observation, then keep ticking periodically.
-        self.controller.tick(self.sim.now(), &self.cluster);
+        // Initial monitoring step so the first reads use a level based on an
+        // (idle) observation, then keep stepping periodically.
+        let running = step.tick(self);
         let interval = self.controller.interval();
         self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
 
@@ -1093,9 +990,11 @@ impl Runner {
                 .schedule_in(ae_interval, RunnerEvent::AntiEntropyTick);
         }
 
-        // Chaos mode: enqueue the fault schedule as first-class events. An
-        // empty schedule enqueues nothing and disarms the reaper, so the
-        // event sequence of a fault-free run is untouched.
+        // Chaos mode: enqueue the fault schedule as first-class events (every
+        // shard replays the full schedule: faults hit physical nodes, and
+        // each shard models its own view of every node). An empty schedule
+        // enqueues nothing and disarms the reaper, so the event sequence of
+        // a fault-free run is untouched.
         let chaos = !self.faults.is_empty();
         if chaos {
             let scheduled: Vec<_> = self.faults.events().to_vec();
@@ -1116,13 +1015,15 @@ impl Runner {
         // randomness, so tracking it cannot perturb the run.
         let mut divergence_timeline: Vec<DivergenceSample> = Vec::new();
 
-        while self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
+        while running && self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
             let Some((_, event)) = self.sim.next() else {
                 break;
             };
             match event {
                 RunnerEvent::MonitorTick => {
-                    self.controller.tick(self.sim.now(), &self.cluster);
+                    if !step.tick(self) {
+                        break;
+                    }
                     self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
                     if chaos {
                         // Reap operations stranded by races no schedule-time
@@ -1130,25 +1031,23 @@ impl Runner {
                         // replies were in flight); their sessions move on.
                         self.cluster
                             .expire_stalled_ops(CHAOS_OP_TIMEOUT, &mut self.sim);
-                        divergence_timeline.push(DivergenceSample {
-                            at_secs: self.sim.now().as_secs_f64(),
-                            divergent_keys: self.cluster.divergent_keys() as u64,
-                        });
+                        if M::SAMPLES_DIVERGENCE {
+                            divergence_timeline.push(DivergenceSample {
+                                at_secs: self.sim.now().as_secs_f64(),
+                                divergent_keys: self.cluster.divergent_keys() as u64,
+                            });
+                        }
                     }
                 }
                 RunnerEvent::Fault(fault) => {
                     self.cluster.apply_fault(&fault, &mut self.sim);
                 }
-                RunnerEvent::Retry(token) => {
-                    if let Some((meta, ctx)) = self.pending_retries.remove(&token) {
+                RunnerEvent::Retry(aborted) => {
+                    if let Some((meta, ctx)) = self.pending_retries.remove(aborted) {
                         self.reissue(meta, ctx);
                     }
                 }
-                RunnerEvent::HedgeCheck(token) => {
-                    if let Some(primary) = self.hedge_checks.remove(&token) {
-                        self.maybe_hedge(primary);
-                    }
-                }
+                RunnerEvent::HedgeCheck(primary) => self.maybe_hedge(primary),
                 RunnerEvent::AntiEntropyTick => {
                     self.cluster.run_anti_entropy_round(&mut self.sim);
                     self.sim
@@ -1162,25 +1061,39 @@ impl Runner {
             }
         }
         self.stats.ended_at = self.sim.now();
+        divergence_timeline
+    }
+}
 
-        ExperimentResult {
-            policy: self.controller.policy_name(),
-            workload: self.spec.workload.name.clone(),
-            profile: self.profile_name.clone(),
-            stats: std::mem::take(&mut self.stats),
-            phase_results: std::mem::take(&mut self.phase_results),
-            decisions: self.controller.decisions().to_vec(),
-            read_level_histogram: std::mem::take(&mut self.read_level_histogram),
-            cluster_totals: self.cluster.totals(),
-            hot_set: self.controller.hot_set().to_vec(),
-            fault_counters: self.cluster.fault_state().counters(),
-            divergence_timeline,
-        }
+/// What a run does at t0 and on every [`RunnerEvent::MonitorTick`] — the one
+/// step in which a classic run and a shard of a sharded run differ. The loop
+/// is generic over it, so the per-event path carries no dynamic dispatch.
+pub(crate) trait MonitorStep {
+    /// Whether chaos ticks sample replica divergence after the reaper. Only
+    /// a classic run does: a shard sees its own stripe, not the cluster.
+    const SAMPLES_DIVERGENCE: bool;
+
+    /// Decides the consistency levels for the next interval; `false` ends
+    /// the run.
+    fn tick(&mut self, runner: &mut Runner) -> bool;
+}
+
+/// The classic step: the runner's own controller observes the cluster.
+struct LocalController;
+
+impl MonitorStep for LocalController {
+    const SAMPLES_DIVERGENCE: bool = true;
+
+    fn tick(&mut self, runner: &mut Runner) -> bool {
+        runner.controller.tick(runner.sim.now(), &runner.cluster);
+        true
     }
 }
 
 /// Builds and runs one experiment: cluster from `profile`, YCSB-style load
-/// phase, then the transaction phases of `spec` under `policy`.
+/// phase, then the transaction phases of `spec` under `policy`. The short
+/// form of `Runner::new(..).run()`; attach faults, retries or observability
+/// through the [`Runner`] builder instead.
 pub fn run_experiment(
     profile: &ClusterProfile,
     store_config: StoreConfig,
@@ -1188,75 +1101,9 @@ pub fn run_experiment(
     policy: Box<dyn ConsistencyPolicy>,
     spec: ExperimentSpec,
 ) -> ExperimentResult {
-    run_experiment_with_faults(
-        profile,
-        store_config,
-        controller_config,
-        policy,
-        spec,
-        FaultSchedule::empty(),
-    )
-}
-
-/// [`run_experiment`] with a fault schedule replayed during the transaction
-/// phases. An empty schedule is byte-identical to [`run_experiment`].
-pub fn run_experiment_with_faults(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-) -> ExperimentResult {
     let controller =
         AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .run()
-}
-
-/// [`run_experiment_with_faults`] with a client retry/hedging policy. The
-/// default (disabled) policy is byte-identical to
-/// [`run_experiment_with_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_with_retry(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    let controller =
-        AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .with_retry(retry)
-        .run()
-}
-
-/// [`run_experiment_with_faults`] with observability attached: returns the
-/// usual result plus the run's [`ObsReport`] (metrics snapshot, flight
-/// recorder traces, decision audit log). An all-off [`ObsConfig`] yields a
-/// result byte-identical to [`run_experiment_with_faults`] and an empty
-/// report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_with_obs(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
-    let controller =
-        AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .with_obs(obs)
-        .run_with_obs()
+    Runner::new(profile, store_config, controller, spec).run()
 }
 
 #[cfg(test)]
@@ -1285,6 +1132,16 @@ mod tests {
             replication_factor: 3,
             ..StoreConfig::default()
         }
+    }
+
+    /// A runner over the small test cluster, ready for the builder.
+    fn small_runner(
+        profile: &ClusterProfile,
+        policy: Box<dyn ConsistencyPolicy>,
+        spec: ExperimentSpec,
+    ) -> Runner {
+        let controller = AdaptiveController::new(ControllerConfig::default(), 3, policy);
+        Runner::new(profile, small_store_config(), controller, spec)
     }
 
     fn run_with(policy: Box<dyn ConsistencyPolicy>, spec: ExperimentSpec) -> ExperimentResult {
@@ -1478,14 +1335,9 @@ mod tests {
         let faults = FaultSchedule::empty()
             .crash_at(0.05, NodeId(1))
             .restart_at(0.4, NodeId(1));
-        let result = run_experiment_with_faults(
-            &profile,
-            small_store_config(),
-            ControllerConfig::default(),
-            Box::new(StaticPolicy::Eventual),
-            spec,
-            faults,
-        );
+        let result = small_runner(&profile, Box::new(StaticPolicy::Eventual), spec)
+            .with_faults(faults)
+            .run();
         assert!(result.stats.operations >= 4_000);
         assert_eq!(result.fault_counters.crashes, 1);
         assert_eq!(result.fault_counters.restarts, 1);
@@ -1503,14 +1355,9 @@ mod tests {
             Box::new(HarmonyPolicy::new(3, 0.2)),
             spec.clone(),
         );
-        let chaos_empty = run_experiment_with_faults(
-            &profile,
-            small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
-            spec,
-            FaultSchedule::empty(),
-        );
+        let chaos_empty = small_runner(&profile, Box::new(HarmonyPolicy::new(3, 0.2)), spec)
+            .with_faults(FaultSchedule::empty())
+            .run();
         assert_eq!(plain.decisions, chaos_empty.decisions);
         assert_eq!(plain.read_level_histogram, chaos_empty.read_level_histogram);
         assert_eq!(plain.stats.operations, chaos_empty.stats.operations);
@@ -1568,15 +1415,9 @@ mod tests {
             Box::new(HarmonyPolicy::new(3, 0.2)),
             spec.clone(),
         );
-        let with_knob = run_experiment_with_retry(
-            &profile,
-            small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
-            spec,
-            FaultSchedule::empty(),
-            RetryPolicy::default(),
-        );
+        let with_knob = small_runner(&profile, Box::new(HarmonyPolicy::new(3, 0.2)), spec)
+            .with_retry(RetryPolicy::default())
+            .run();
         assert_eq!(plain.decisions, with_knob.decisions);
         assert_eq!(plain.read_level_histogram, with_knob.read_level_histogram);
         assert_eq!(plain.stats.operations, with_knob.stats.operations);
@@ -1611,15 +1452,14 @@ mod tests {
             hedge_after_ms: 0.0,
         };
         let run_once = |retry_policy: RetryPolicy| {
-            run_experiment_with_retry(
+            small_runner(
                 &profile,
-                small_store_config(),
-                ControllerConfig::default(),
                 Box::new(StaticPolicy::Strong),
                 small_spec(8, 4_000),
-                schedule(),
-                retry_policy,
             )
+            .with_faults(schedule())
+            .with_retry(retry_policy)
+            .run()
         };
         let baseline = run_once(RetryPolicy::default());
         assert!(
@@ -1673,15 +1513,13 @@ mod tests {
             hedge_after_ms: 0.3,
         };
         let run_once = || {
-            run_experiment_with_retry(
+            small_runner(
                 &profile,
-                small_store_config(),
-                ControllerConfig::default(),
                 Box::new(StaticPolicy::Eventual),
                 small_spec(8, 2_000),
-                FaultSchedule::empty(),
-                hedging,
             )
+            .with_retry(hedging)
+            .run()
         };
         let hedged = run_once();
         assert!(hedged.stats.hedged_reads > 0, "hedges must actually fire");
@@ -1702,6 +1540,14 @@ mod tests {
     }
 
     #[test]
+    fn queued_events_stay_small() {
+        // Every queued event is a `RunnerEvent`: retry and hedge events carry
+        // an op id and look their state up in op tables, so the largest
+        // variant stays the store event and the heap entries stay small.
+        assert!(std::mem::size_of::<RunnerEvent>() <= 48);
+    }
+
+    #[test]
     fn workload_b_produces_fewer_writes_than_a() {
         let mut spec_b = small_spec(8, 2_000);
         spec_b.workload = {
@@ -1718,15 +1564,13 @@ mod tests {
     }
 
     fn run_obs(obs: ObsConfig) -> (ExperimentResult, ObsReport) {
-        run_experiment_with_obs(
+        small_runner(
             &profiles::grid5000_with_nodes(6),
-            small_store_config(),
-            ControllerConfig::default(),
             Box::new(HarmonyPolicy::new(3, 0.2)),
             small_spec(8, 2_000),
-            FaultSchedule::empty(),
-            obs,
         )
+        .with_obs(obs)
+        .run_with_obs()
     }
 
     #[test]
@@ -1807,18 +1651,18 @@ mod tests {
         let faults = FaultSchedule::empty()
             .crash_at(0.05, NodeId(1))
             .restart_at(0.4, NodeId(1));
-        let (result, report) = run_experiment_with_obs(
+        let obs = ObsConfig {
+            trace_sample_every: 4,
+            ..ObsConfig::enabled()
+        };
+        let (result, report) = small_runner(
             &profile,
-            small_store_config(),
-            ControllerConfig::default(),
             Box::new(HarmonyPolicy::new(3, 0.2)),
             small_spec(16, 20_000),
-            faults,
-            ObsConfig {
-                trace_sample_every: 4,
-                ..ObsConfig::enabled()
-            },
-        );
+        )
+        .with_faults(faults)
+        .with_obs(obs)
+        .run_with_obs();
         assert!(result.fault_counters.crashes > 0);
         // At least one retained trace observed the fault epoch advancing
         // between submit and completion.

@@ -6,9 +6,11 @@
 //! stripes ([`ShardPartition`]) and runs one complete, independent
 //! sub-simulation per stripe — its own event heap, storage engine slice,
 //! placement cache, client sessions and heavy-hitter sketch — on its own OS
-//! thread. Replica sets are per-key, so two operations on different stripes
-//! share no protocol state at all; the only cross-shard information flow is
-//! the control plane:
+//! thread. Each shard is a `Runner` built for its stripe and driven by the
+//! same event loop as a classic run; only the monitoring tick differs
+//! ([`ShardTick`]). Replica sets are per-key, so two operations on different
+//! stripes share no protocol state at all; the only cross-shard information
+//! flow is the control plane:
 //!
 //! * every monitoring tick, each shard publishes a [`ShardReport`] (cumulative
 //!   totals, write-stage telemetry, replica backlogs, membership view and its
@@ -26,13 +28,11 @@
 //! a pure function of the ordered report sequences, so thread scheduling
 //! cannot leak into the results — same seed + same shard count ⇒
 //! byte-identical stats. `shards = 1` short-circuits to the classic
-//! single-loop runner and reproduces the golden-stats pin exactly.
+//! runner (`Runner::new(..).with_faults(..)`) and reproduces the
+//! golden-stats pin exactly.
 
 use crate::distributions::record_key;
-use crate::runner::{
-    run_experiment_with_faults, run_experiment_with_obs, ExperimentResult, ExperimentSpec, Phase,
-    PhaseResult, Runner, RunnerEvent, CHAOS_OP_TIMEOUT,
-};
+use crate::runner::{ExperimentResult, ExperimentSpec, MonitorStep, Phase, PhaseResult, Runner};
 use crate::stats::RunStats;
 use harmony_adaptive::config::ControllerConfig;
 use harmony_adaptive::controller::AdaptiveController;
@@ -52,6 +52,79 @@ use harmony_store::keys::KeyId;
 use harmony_store::node::WriteStageTelemetry;
 use harmony_store::shard::ShardPartition;
 use std::collections::{BTreeMap, HashMap};
+
+/// Sharded-mode state of one [`Runner`]: the keyspace stripe this event loop
+/// owns and the consistency levels the coordinator last broadcast. When
+/// present, issue paths consult this table instead of the (placeholder)
+/// local controller — the real controller lives on the coordinator and sees
+/// the merged cluster view.
+pub(crate) struct ShardContext {
+    /// This event loop's stripe of the global keyspace.
+    pub(crate) partition: ShardPartition,
+    /// Records owned locally during the load phase; local ids below this are
+    /// load-phase keys with purely arithmetic global ids.
+    local_records: usize,
+    /// The first global record index this shard's inserts use; the `k`-th
+    /// insert names global record `insert_base + k * shards`, keeping insert
+    /// names disjoint across shards and owned locally.
+    pub(crate) insert_base: u64,
+    /// Default read level from the last coordinator directive.
+    pub(crate) default_read: ConsistencyLevel,
+    /// Write level from the last coordinator directive.
+    pub(crate) write: ConsistencyLevel,
+    /// Escalated per-key read levels (local ids) from the last directive.
+    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
+}
+
+impl ShardContext {
+    /// The state of a freshly loaded shard: `local_records` of the
+    /// `record_count` load-phase records are owned here, and every level
+    /// starts at ONE until the first directive arrives.
+    pub(crate) fn new(
+        partition: ShardPartition,
+        local_records: usize,
+        record_count: usize,
+    ) -> Self {
+        ShardContext {
+            partition,
+            local_records,
+            insert_base: partition.first_owned_at_or_after(record_count) as u64,
+            default_read: ConsistencyLevel::One,
+            write: ConsistencyLevel::One,
+            hot: HashMap::new(),
+        }
+    }
+
+    /// Translates a *local* interned id to the coordinator's *global* id.
+    pub(crate) fn local_to_global_key(&self, id: KeyId) -> KeyId {
+        let l = id.index();
+        if l < self.local_records {
+            self.partition.local_key_to_global(id)
+        } else {
+            let k = (l - self.local_records) as u64;
+            KeyId((self.insert_base + k * self.partition.shards() as u64) as u32)
+        }
+    }
+
+    /// Translates an owned *global* id back to the local interned id, if the
+    /// key exists on this shard (`key_count` = current interner size).
+    pub(crate) fn global_to_local_key(&self, id: KeyId, key_count: usize) -> Option<KeyId> {
+        let g = id.index();
+        if !self.partition.owns_global(g) {
+            return None;
+        }
+        let l = self.partition.global_to_local(g);
+        let local = if l < self.local_records {
+            l
+        } else if g as u64 >= self.insert_base {
+            let k = ((g as u64 - self.insert_base) / self.partition.shards() as u64) as usize;
+            self.local_records + k
+        } else {
+            return None;
+        };
+        (local < key_count).then_some(KeyId(local as u32))
+    }
+}
 
 /// One shard's per-tick publication to the coordinator. All key ids inside
 /// are *global* (the shard translates before sending), so the coordinator
@@ -271,83 +344,47 @@ fn split_spec(spec: &ExperimentSpec, index: usize, shards: usize) -> ExperimentS
     }
 }
 
+/// A shard's monitoring step: publish this tick's report, block for the
+/// coordinator's directive and install it. A coordinator that went away ends
+/// the shard's run.
+struct ShardTick {
+    worker: ShardWorker<ShardReport, ShardDirective>,
+    /// Cumulative space-saving sketch over this shard's write keys (global
+    /// ids).
+    sketch: SpaceSavingSketch,
+}
+
+impl MonitorStep for ShardTick {
+    const SAMPLES_DIVERGENCE: bool = false;
+
+    fn tick(&mut self, runner: &mut Runner) -> bool {
+        let report = runner.shard_report(&mut self.sketch, false);
+        let Some(directive) = self.worker.exchange(report) else {
+            return false;
+        };
+        runner.apply_directive(&directive);
+        true
+    }
+}
+
 impl Runner {
-    /// One shard's event loop: the classic run loop with the controller tick
+    /// Runs one shard: the common event loop with the controller tick
     /// replaced by the barrier exchange. Returns the shard's accumulated
     /// output; the coordinator merges all of them.
-    pub(crate) fn run_shard(
+    fn run_shard(
         mut self,
         worker: ShardWorker<ShardReport, ShardDirective>,
         sketch_capacity: usize,
     ) -> ShardOutcome {
-        let deadline = SimTime::from_secs_f64(self.spec.max_virtual_secs);
-        self.stats.started_at = self.sim.now();
-        self.phase_stats.started_at = self.sim.now();
-        let interval = self.controller.interval();
-        let mut sketch = SpaceSavingSketch::new(sketch_capacity);
-
-        // Initial exchange at t0 — the sharded analogue of the initial
-        // controller tick — so the first operations already run at levels
-        // decided on an (idle) merged observation.
-        let report = self.shard_report(&mut sketch, false);
-        let Some(directive) = worker.exchange(report) else {
-            return self.shard_outcome();
+        let mut step = ShardTick {
+            worker,
+            sketch: SpaceSavingSketch::new(sketch_capacity),
         };
-        self.apply_directive(&directive);
-        self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
-
-        let chaos = !self.faults.is_empty();
-        if chaos {
-            // Every shard replays the full schedule: faults hit physical
-            // nodes, and each shard models its own view of every node.
-            let scheduled: Vec<_> = self.faults.events().to_vec();
-            for fault in scheduled {
-                self.sim
-                    .schedule_at(fault.at, RunnerEvent::Fault(fault.fault));
-            }
-        }
-
-        for s in 0..self.phase().threads.min(self.session_active.len()) {
-            self.issue_next_op(s);
-        }
-
-        while self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
-            let Some((_, event)) = self.sim.next() else {
-                break;
-            };
-            match event {
-                RunnerEvent::MonitorTick => {
-                    let report = self.shard_report(&mut sketch, false);
-                    let Some(directive) = worker.exchange(report) else {
-                        break;
-                    };
-                    self.apply_directive(&directive);
-                    self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
-                    if chaos {
-                        self.cluster
-                            .expire_stalled_ops(CHAOS_OP_TIMEOUT, &mut self.sim);
-                    }
-                }
-                RunnerEvent::Fault(fault) => {
-                    self.cluster.apply_fault(&fault, &mut self.sim);
-                }
-                // The sharded loop does not drive client retries, hedging or
-                // anti-entropy yet (the classic runner does); these events
-                // are never scheduled here.
-                RunnerEvent::Retry(_)
-                | RunnerEvent::HedgeCheck(_)
-                | RunnerEvent::AntiEntropyTick => {}
-                RunnerEvent::Store(store_event) => {
-                    if let Some(completion) = self.cluster.handle(store_event, &mut self.sim) {
-                        self.on_completion(completion);
-                    }
-                }
-            }
-        }
-        self.stats.ended_at = self.sim.now();
+        self.drive(&mut step);
         // Final (frozen) report so the coordinator's later merges still see
         // this shard's totals, then drop out of the barrier.
-        worker.finish(self.shard_report(&mut sketch, true));
+        let last = self.shard_report(&mut step.sketch, true);
+        step.worker.finish(last);
         self.shard_outcome()
     }
 
@@ -435,12 +472,13 @@ impl Runner {
 }
 
 /// Runs one experiment across `shards` per-stripe event loops (one OS thread
-/// each) with the control plane merged at every monitoring tick.
+/// each) with the control plane merged at every monitoring tick: the short
+/// form of [`run_sharded_experiment_with_obs`] with observability off.
 ///
-/// `shards <= 1` delegates to [`run_experiment_with_faults`] — byte-identical
-/// to the classic single-loop runner, golden pin included. For `shards > 1`
-/// the run is deterministic in (seed, shard count): per-shard RNG streams
-/// derive from `mix(seed, stripe)` and all cross-shard data flows through the
+/// `shards <= 1` is exactly `Runner::new(..).with_faults(faults).run()` —
+/// the classic single-loop runner, golden pin included. For `shards > 1` the
+/// run is deterministic in (seed, shard count): per-shard RNG streams derive
+/// from `mix(seed, stripe)` and all cross-shard data flows through the
 /// ordered barrier exchange, so repeated runs produce identical stats.
 pub fn run_sharded_experiment(
     profile: &ClusterProfile,
@@ -451,16 +489,6 @@ pub fn run_sharded_experiment(
     faults: FaultSchedule,
     shards: usize,
 ) -> ExperimentResult {
-    if shards <= 1 {
-        return run_experiment_with_faults(
-            profile,
-            store_config,
-            controller_config,
-            policy,
-            spec,
-            faults,
-        );
-    }
     run_sharded_experiment_with_obs(
         profile,
         store_config,
@@ -480,7 +508,8 @@ pub fn run_sharded_experiment(
 /// gauges take the worst shard, histograms fold bucket-wise) and owns the
 /// decision audit log — the single real controller lives there. An all-off
 /// config yields a result byte-identical to [`run_sharded_experiment`] and
-/// an empty report.
+/// an empty report. `shards <= 1` runs the classic runner through the
+/// [`Runner`] builder.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_experiment_with_obs(
     profile: &ClusterProfile,
@@ -492,21 +521,17 @@ pub fn run_sharded_experiment_with_obs(
     shards: usize,
     obs: ObsConfig,
 ) -> (ExperimentResult, ObsReport) {
+    let rf = store_config.replication_factor;
     if shards <= 1 {
-        return run_experiment_with_obs(
-            profile,
-            store_config,
-            controller_config,
-            policy,
-            spec,
-            faults,
-            obs,
-        );
+        let controller = AdaptiveController::new(controller_config, rf, policy);
+        return Runner::new(profile, store_config, controller, spec)
+            .with_faults(faults)
+            .with_obs(obs)
+            .run_with_obs();
     }
     spec.validate()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
 
-    let rf = store_config.replication_factor;
     let sketch_capacity = controller_config.monitor.hot_key_capacity;
     let node_concurrency = store_config.node_concurrency;
     let mut controller = AdaptiveController::new(controller_config, rf, policy);
@@ -531,12 +556,12 @@ pub fn run_sharded_experiment_with_obs(
         let placeholder =
             AdaptiveController::new(controller_config, rf, Box::new(StaticPolicy::Eventual));
         runners.push(
-            Runner::new_sharded(
+            Runner::build(
                 profile,
                 store_config.clone(),
                 placeholder,
                 shard_spec,
-                partition,
+                Some(partition),
             )
             .with_faults(faults.clone())
             .with_obs(shard_obs),
@@ -544,12 +569,7 @@ pub fn run_sharded_experiment_with_obs(
     }
 
     let (mut barrier, workers) = ShardBarrier::<ShardReport, ShardDirective>::new(shards);
-    let mut outcomes: Vec<Option<ShardOutcome>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        outcomes.push(None);
-    }
-
-    std::thread::scope(|scope| {
+    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = runners
             .into_iter()
             .zip(workers)
@@ -596,17 +616,19 @@ pub fn run_sharded_experiment_with_obs(
             barrier.broadcast_with(|_| directive.clone());
         }
 
-        for (i, handle) in handles.into_iter().enumerate() {
-            outcomes[i] = Some(handle.join().expect("shard thread panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("shard thread panicked"))
+            .collect()
     });
 
-    // Deterministic merge, shard-index order throughout.
-    let outcomes: Vec<ShardOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
-    let mut stats = RunStats {
+    // Deterministic merge, shard-index order throughout. Merged stats start
+    // at the earliest shard's start: `absorb` keeps the minimum.
+    let unstarted = || RunStats {
         started_at: SimTime::from_secs_f64(f64::MAX),
         ..RunStats::default()
     };
+    let mut stats = unstarted();
     let mut read_level_histogram: BTreeMap<usize, u64> = BTreeMap::new();
     let mut totals = ClusterTotals::default();
     let mut phase_results: Vec<PhaseResult> = spec
@@ -614,10 +636,7 @@ pub fn run_sharded_experiment_with_obs(
         .iter()
         .map(|p| PhaseResult {
             phase: *p,
-            stats: RunStats {
-                started_at: SimTime::from_secs_f64(f64::MAX),
-                ..RunStats::default()
-            },
+            stats: unstarted(),
         })
         .collect();
     // Fold the per-shard observability output like the stats: registries
@@ -646,14 +665,7 @@ pub fn run_sharded_experiment_with_obs(
         for (level, count) in &outcome.read_level_histogram {
             *read_level_histogram.entry(*level).or_insert(0) += count;
         }
-        totals.reads_submitted += outcome.totals.reads_submitted;
-        totals.writes_submitted += outcome.totals.writes_submitted;
-        totals.reads_completed += outcome.totals.reads_completed;
-        totals.writes_completed += outcome.totals.writes_completed;
-        totals.stale_reads += outcome.totals.stale_reads;
-        totals.repairs_issued += outcome.totals.repairs_issued;
-        totals.ops_aborted += outcome.totals.ops_aborted;
-        totals.protocol_drops += outcome.totals.protocol_drops;
+        totals.absorb(&outcome.totals);
         for (i, pr) in outcome.phase_results.iter().enumerate() {
             if let Some(slot) = phase_results.get_mut(i) {
                 slot.stats.absorb(&pr.stats);
@@ -838,41 +850,22 @@ mod tests {
         // reported after it (7 live, epoch 4). The merged view must
         // normalise by the *post-change* membership, whichever shard slot
         // it came from.
-        let stale = ShardReport {
+        let report = |live_nodes, fault_epoch| ShardReport {
             at: SimTime::from_secs_f64(1.0),
             finished: false,
             total_reads: 10,
             total_writes: 10,
             probe_latency_ms: 1.0,
             node_count: 8,
-            live_nodes: 8,
-            fault_epoch: 3,
+            live_nodes,
+            fault_epoch,
             mutation_backlog_ms: 0.0,
             replica_backlogs: vec![0.0; 8],
             telemetry: Vec::new(),
             sketch: SpaceSavingSketch::new(4),
             hot_backlogs: HashMap::new(),
         };
-        let fresh = ShardReport {
-            live_nodes: 7,
-            fault_epoch: 4,
-            ..ShardReport {
-                at: SimTime::from_secs_f64(1.0),
-                finished: false,
-                total_reads: 10,
-                total_writes: 10,
-                probe_latency_ms: 1.0,
-                node_count: 8,
-                live_nodes: 8,
-                fault_epoch: 3,
-                mutation_backlog_ms: 0.0,
-                replica_backlogs: vec![0.0; 8],
-                telemetry: Vec::new(),
-                sketch: SpaceSavingSketch::new(4),
-                hot_backlogs: HashMap::new(),
-            }
-        };
-        let reports = vec![Some(fresh), Some(stale)];
+        let reports = vec![Some(report(7, 4)), Some(report(8, 3))];
         let probe = MergedProbe {
             reports: &reports,
             shards: 2,

@@ -2,15 +2,12 @@
 //!
 //! The paper reports 99th-percentile read latency (Figure 5a/5b), overall
 //! throughput (Figure 5c/5d) and the number of stale reads (Figure 6).
-//! The log-bucketed [`LatencyHistogram`] now lives in `harmony-obs` (the
-//! metrics registry and the sharded runtime share it); this module
-//! re-exports it so existing `harmony_ycsb::stats::LatencyHistogram` users
-//! keep working unchanged.
+//! Latencies go into `harmony-obs`'s log-bucketed [`LatencyHistogram`],
+//! which the metrics registry and the sharded merge share.
 
+use harmony_obs::hist::LatencyHistogram;
 use harmony_sim::clock::SimTime;
 use serde::{Deserialize, Serialize};
-
-pub use harmony_obs::hist::{LatencyHistogram, LatencySummary};
 
 /// Aggregate statistics of one experiment run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

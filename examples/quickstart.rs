@@ -81,15 +81,16 @@ fn main() {
 /// `--obs`: one more Harmony-40% run with tracing, metrics and the decision
 /// audit switched on, followed by the three exports.
 fn dump_observability(profile: &ClusterProfile, store: &StoreConfig, spec: &ExperimentSpec) {
-    let (result, report) = run_experiment_with_obs(
-        profile,
-        store.clone(),
+    let rf = profile.replication_factor;
+    let controller = AdaptiveController::new(
         ControllerConfig::default(),
-        Box::new(HarmonyPolicy::new(profile.replication_factor, 0.40)),
-        spec.clone(),
-        FaultSchedule::empty(),
-        ObsConfig::enabled(),
+        rf,
+        Box::new(HarmonyPolicy::new(rf, 0.40)),
     );
+    // Faults and client retries attach the same way, before `run_with_obs`.
+    let (result, report) = Runner::new(profile, store.clone(), controller, spec.clone())
+        .with_obs(ObsConfig::enabled())
+        .run_with_obs();
     println!();
     println!(
         "=== observability (harmony-40, {} ops) ===",

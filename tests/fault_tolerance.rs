@@ -3,8 +3,8 @@
 //! replica crashes, rides out the hint-drain backlog spike after recovery,
 //! relaxes back once the cluster heals, and an empty fault schedule is
 //! byte-identical to a run without the chaos layer (the golden-stats pin in
-//! `tests/per_key_determinism.rs` now runs through the fault-aware entry
-//! point, so that guarantee is pinned to exact numbers there).
+//! `tests/per_key_determinism.rs` runs with an empty schedule attached, so
+//! that guarantee is pinned to exact numbers there).
 //!
 //! Everything here runs the full stack — simulated cluster with fault state,
 //! hinted handoff, monitoring over live replicas only, adaptive controller,
@@ -16,7 +16,7 @@
 use harmony::prelude::*;
 use harmony::sim::topology::NodeId;
 use harmony_bench::experiments::{
-    grid5000_experiment_config, run_workload_point_with_faults, ExperimentConfig, PolicySpec,
+    enable_split, grid5000_experiment_config, ExperimentConfig, PolicySpec,
 };
 
 /// The tolerated hot-key stale-read rate of the crash claim (the looser of
@@ -41,17 +41,17 @@ fn config() -> ExperimentConfig {
 /// Runs the Zipfian workload under `policy` with `faults`; Harmony policies
 /// get the split (per-key) controller, exactly like the sweep binary.
 fn run(config: &ExperimentConfig, policy: &PolicySpec, faults: FaultSchedule) -> ExperimentResult {
+    let mut config = config.clone();
+    if matches!(policy, PolicySpec::Harmony(_)) {
+        config.controller = enable_split(config.controller);
+    }
     let workload =
         WorkloadSpec::workload_a(config.records).with_distribution(RequestDistribution::Zipfian);
-    run_workload_point_with_faults(
-        config,
-        workload,
-        policy,
-        24,
-        HOT_PREFIX,
-        matches!(policy, PolicySpec::Harmony(_)),
-        faults,
-    )
+    let spec = ExperimentSpec {
+        hot_key_prefix: HOT_PREFIX,
+        ..config.spec(workload, 24)
+    };
+    config.runner(policy, spec).with_faults(faults).run()
 }
 
 /// Acceptance (a): with a replica crash injected mid-run under Zipfian load,

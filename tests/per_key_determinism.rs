@@ -41,23 +41,24 @@ fn run_split_with_controller(
         client_latency_ms: 0.15,
         ..StoreConfig::default()
     };
-    // Routed through the fault-aware entry point with an explicitly *empty*
+    // Routed through the fault-aware builder with an explicitly *empty*
     // schedule: the golden pin below is therefore also the guard that the
     // whole chaos layer (fault masks, hint plumbing, membership checks) is
     // byte-for-byte free when no fault fires.
-    run_experiment_with_faults(
+    let controller = AdaptiveController::new(controller, 5, Box::new(HarmonyPolicy::new(5, 0.05)));
+    Runner::new(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
         controller,
-        Box::new(HarmonyPolicy::new(5, 0.05)),
         spec,
-        FaultSchedule::empty(),
     )
+    .with_faults(FaultSchedule::empty())
+    .run()
 }
 
-/// The same run as [`run_split`], but routed through the retry-aware entry
-/// point with every self-healing knob present and disabled — the
-/// degeneration arm of the golden pin.
+/// The same run as [`run_split`], but built with the retry policy attached
+/// and every self-healing knob present and disabled — the degeneration arm
+/// of the golden pin.
 fn run_split_through_retry_entry_point(seed: u64) -> ExperimentResult {
     let mut workload = WorkloadSpec::workload_a(1_000);
     workload.field_count = 2;
@@ -79,15 +80,20 @@ fn run_split_through_retry_entry_point(seed: u64) -> ExperimentResult {
         anti_entropy_interval_secs: 0.0,
         ..StoreConfig::default()
     };
-    run_experiment_with_retry(
+    let controller = AdaptiveController::new(
+        harmony_bench::experiments::split_figure_controller_config(),
+        5,
+        Box::new(HarmonyPolicy::new(5, 0.05)),
+    );
+    Runner::new(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
-        harmony_bench::experiments::split_figure_controller_config(),
-        Box::new(HarmonyPolicy::new(5, 0.05)),
+        controller,
         spec,
-        FaultSchedule::empty(),
-        RetryPolicy::default(),
     )
+    .with_faults(FaultSchedule::empty())
+    .with_retry(RetryPolicy::default())
+    .run()
 }
 
 #[test]

@@ -61,27 +61,18 @@ fn run(
     phases: Vec<Phase>,
     faults: FaultSchedule,
 ) -> ExperimentResult {
-    let controller = if proactive {
-        enable_proactive(config.controller)
-    } else {
-        config.controller
-    };
+    let mut config = config.clone();
+    if proactive {
+        config.controller = enable_proactive(config.controller);
+    }
     let spec = ExperimentSpec {
-        workload: scaled_workload_a(config.records),
         phases,
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
+        ..config.spec(scaled_workload_a(config.records), 1)
     };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        PolicySpec::Harmony(0.20).build(config.store.replication_factor),
-        spec,
-        faults,
-    )
+    config
+        .runner(&PolicySpec::Harmony(0.20), spec)
+        .with_faults(faults)
+        .run()
 }
 
 /// The correlated outage: eight alternating nodes crash together and restart

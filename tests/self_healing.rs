@@ -139,6 +139,22 @@ fn store_config(anti_entropy_interval_secs: f64) -> StoreConfig {
     }
 }
 
+/// A runner over [`spec`] and [`store_config`] with eventual reads under the
+/// default controller; the tests attach faults and retries.
+fn eventual_runner(profile: &ClusterProfile, anti_entropy_interval_secs: f64, ops: u64) -> Runner {
+    let controller = AdaptiveController::new(
+        ControllerConfig::default(),
+        3,
+        Box::new(StaticPolicy::Eventual),
+    );
+    Runner::new(
+        profile,
+        store_config(anti_entropy_interval_secs),
+        controller,
+        spec(ops),
+    )
+}
+
 /// Full stack: a partition-then-heal schedule with the anti-entropy interval
 /// armed runs repair rounds mid-experiment, streams rows to close the
 /// partition's divergence, and stays deterministic per seed.
@@ -151,20 +167,15 @@ fn armed_anti_entropy_heals_mid_run_and_stays_deterministic() {
             .heal_at(0.4)
     };
     let run_once = || {
-        run_experiment_with_retry(
-            &profile,
-            store_config(0.05),
-            ControllerConfig::default(),
-            Box::new(StaticPolicy::Eventual),
-            spec(4_000),
-            schedule(),
-            RetryPolicy {
+        eventual_runner(&profile, 0.05, 4_000)
+            .with_faults(schedule())
+            .with_retry(RetryPolicy {
                 max_attempts: 4,
                 base_backoff_ms: 0.5,
                 max_backoff_ms: 8.0,
                 hedge_after_ms: 0.0,
-            },
-        )
+            })
+            .run()
     };
     let healed = run_once();
     assert_eq!(healed.fault_counters.partitions, 1);
@@ -190,7 +201,7 @@ fn armed_anti_entropy_heals_mid_run_and_stays_deterministic() {
 
 /// The disabled knobs are free: the same chaos schedule with the repair
 /// interval at zero and the retry policy at default never runs a repair
-/// round, and matches the plain fault-aware entry point byte for byte.
+/// round, and matches the run without a retry policy byte for byte.
 #[test]
 fn disarmed_repair_knobs_are_byte_identical_under_chaos() {
     let profile = harmony::profiles::grid5000_with_nodes(6);
@@ -199,23 +210,13 @@ fn disarmed_repair_knobs_are_byte_identical_under_chaos() {
             .partition_at(0.05, vec![vec![NodeId(0), NodeId(1)]])
             .heal_at(0.4)
     };
-    let plain = run_experiment_with_faults(
-        &profile,
-        store_config(0.0),
-        ControllerConfig::default(),
-        Box::new(StaticPolicy::Eventual),
-        spec(2_000),
-        schedule(),
-    );
-    let disarmed = run_experiment_with_retry(
-        &profile,
-        store_config(0.0),
-        ControllerConfig::default(),
-        Box::new(StaticPolicy::Eventual),
-        spec(2_000),
-        schedule(),
-        RetryPolicy::default(),
-    );
+    let plain = eventual_runner(&profile, 0.0, 2_000)
+        .with_faults(schedule())
+        .run();
+    let disarmed = eventual_runner(&profile, 0.0, 2_000)
+        .with_faults(schedule())
+        .with_retry(RetryPolicy::default())
+        .run();
     assert_eq!(plain.cluster_totals.ae_rounds, 0);
     assert_eq!(disarmed.cluster_totals.ae_rounds, 0);
     assert_eq!(plain.stats.operations, disarmed.stats.operations);

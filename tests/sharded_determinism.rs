@@ -10,10 +10,11 @@
 //!   `mix(seed, stripe)`, so thread scheduling has no channel through which
 //!   to perturb the stats. Serialized-JSON equality is the strictest
 //!   comparison available — it covers every histogram bucket and f64 bit.
-//! * **`shards = 1` is the classic runner:** the single-shard case delegates
-//!   to `run_experiment_with_faults` and must reproduce the committed golden
-//!   pin (`per_key_determinism.rs`) exactly — the sharded entry point is a
-//!   superset, never a fork, of the single-loop semantics.
+//! * **`shards = 1` is the classic runner:** the single-shard case is
+//!   `Runner::new(..).with_faults(..)` and must reproduce the committed
+//!   golden pin (`per_key_determinism.rs`) exactly — the sharded entry point
+//!   is a superset, never a fork, of the single-loop semantics (every shard
+//!   runs the very same event loop).
 
 use harmony::prelude::*;
 use harmony_adaptive::policy::HarmonyPolicy;
@@ -167,6 +168,65 @@ fn chaos_schedule_runs_panic_free_across_shards() {
         serde_json::to_string(&a.stats).unwrap(),
         serde_json::to_string(&b.stats).unwrap(),
         "chaos run must stay deterministic across shards"
+    );
+    assert_eq!(a.cluster_totals, b.cluster_totals);
+}
+
+#[test]
+fn armed_anti_entropy_runs_on_every_shard_and_stays_deterministic() {
+    // Shards run the classic event loop, anti-entropy tick included: a crash
+    // with a bounded hint buffer leaves divergence that the armed repair
+    // rounds stream shut, and the merged totals carry the repair counters.
+    let mut workload = WorkloadSpec::workload_a(1_000);
+    workload.field_count = 2;
+    workload.field_size = 16;
+    let spec = ExperimentSpec {
+        workload,
+        phases: vec![Phase::new(16, 8_000)],
+        seed: 20120920,
+        dual_read_measurement: false,
+        hot_key_prefix: 8,
+        max_virtual_secs: 600.0,
+    };
+    let store = StoreConfig {
+        replication_factor: 3,
+        hint_cap_per_origin: 4,
+        anti_entropy_interval_secs: 0.05,
+        ..StoreConfig::default()
+    };
+    let faults = FaultSchedule::empty()
+        .crash_at(0.05, NodeId(1))
+        .restart_at(0.2, NodeId(1));
+    let run = || {
+        run_sharded_experiment(
+            &harmony::profiles::grid5000_with_nodes(6),
+            store.clone(),
+            ControllerConfig::default(),
+            Box::new(HarmonyPolicy::new(3, 0.2)),
+            spec.clone(),
+            faults.clone(),
+            2,
+        )
+    };
+    let a = run();
+    let b = run();
+    assert!(a.stats.operations >= 8_000);
+    assert_eq!(a.fault_counters.crashes, 1);
+    assert_eq!(a.fault_counters.restarts, 1);
+    assert!(
+        a.cluster_totals.ae_rounds > 0,
+        "armed anti-entropy must run on the shards: {:?}",
+        a.cluster_totals
+    );
+    assert!(
+        a.cluster_totals.ae_rows_streamed > 0,
+        "the crash's divergence must be streamed: {:?}",
+        a.cluster_totals
+    );
+    assert_eq!(
+        serde_json::to_string(&a.stats).unwrap(),
+        serde_json::to_string(&b.stats).unwrap(),
+        "sharded anti-entropy must stay deterministic"
     );
     assert_eq!(a.cluster_totals, b.cluster_totals);
 }
