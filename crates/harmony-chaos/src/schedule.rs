@@ -20,8 +20,9 @@ pub enum FaultEvent {
     /// Fail-stop crash: the node stops serving reads and coordinating;
     /// mutations addressed to it are stored as hints and drain on restart.
     /// Work already *in service* completes (the power fails after the
-    /// in-flight disk write, not during it); queued reads are answered with
-    /// a miss by the failure detector so coordinators make progress.
+    /// in-flight disk write, not during it); queued reads get an immediate
+    /// miss sent back to a coordinator on the crashed node's side of any
+    /// cut, so coordinators make progress.
     CrashNode {
         /// The node to crash.
         node: NodeId,

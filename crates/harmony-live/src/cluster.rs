@@ -8,13 +8,13 @@
 //! for reads collects the requested number of replica responses and returns
 //! the newest version.
 
+use crate::detector::HeartbeatHistory;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use harmony_chaos::{FaultEvent, FaultState};
 use harmony_sim::clock::SimTime;
 use harmony_sim::topology::NodeId;
 use harmony_store::cluster::WRITE_KEY_SAMPLE_CAP;
 use harmony_store::consistency::ConsistencyLevel;
-use harmony_store::detector::HeartbeatHistory;
 use harmony_store::keys::{KeyId, KeyTable};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -220,12 +220,11 @@ pub struct LiveCluster {
     /// Join + decommission count when the active partition was installed;
     /// the heal re-streams only churn that happened during the cut.
     partition_churn_baseline: AtomicU64,
-    /// Per-node φ accrual failure detectors (same construction as the
-    /// simulated cluster's), fed by replica acknowledgements and read
-    /// replies the coordinator actually observes. A replica whose acks stop
-    /// arriving — crashed before the liveness bookkeeping notices, or slowed
-    /// so far that quorums always close without it — accrues suspicion, and
-    /// partial reads steer around it.
+    /// Per-node φ accrual failure detectors, fed by replica acknowledgements
+    /// and read replies the coordinator actually observes. A replica whose
+    /// acks stop arriving — crashed before the liveness bookkeeping notices,
+    /// or slowed so far that quorums always close without it — accrues
+    /// suspicion, and partial reads steer around it.
     detectors: Mutex<Vec<HeartbeatHistory>>,
     /// Wall-clock epoch for detector timestamps.
     started: Instant,

@@ -19,9 +19,10 @@
 //! suspected after milliseconds of silence, a quiet one only after its usual
 //! lull has long passed.
 //!
-//! The detector is pure bookkeeping over the injected clock — no wall-clock
-//! reads, no RNG — so it is deterministic under the simulation and cheap
-//! enough to consult on every coordinator decision.
+//! The detector is pure bookkeeping over the clock its caller passes in — no
+//! clock reads of its own, no RNG — so it is deterministic for a given
+//! sequence of timestamps and cheap enough to consult on every coordinator
+//! decision.
 
 use harmony_sim::clock::SimTime;
 use std::collections::VecDeque;
@@ -67,16 +68,6 @@ impl HeartbeatHistory {
         }
     }
 
-    /// Number of retained inter-arrival samples.
-    pub fn samples(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// When the last heartbeat was observed.
-    pub fn last_heartbeat(&self) -> Option<SimTime> {
-        self.last
-    }
-
     /// The φ suspicion level at `now`: 0 while the history is too short to
     /// judge, rising with the current silence measured against the observed
     /// mean inter-arrival time.
@@ -95,17 +86,6 @@ impl HeartbeatHistory {
         let elapsed = now.saturating_sub(last).as_secs_f64();
         elapsed / (mean * std::f64::consts::LN_10)
     }
-
-    /// Convenience predicate: `suspicion(now) >= threshold`.
-    pub fn suspected(&self, now: SimTime, threshold: f64) -> bool {
-        self.suspicion(now) >= threshold
-    }
-
-    /// Canonical digest fragment for state fingerprinting: last-heartbeat
-    /// time plus the retained window, formatted deterministically.
-    pub fn digest_fragment(&self) -> String {
-        format!("{:?}|{:?}", self.last, self.intervals)
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +102,14 @@ mod tests {
     fn no_history_means_no_suspicion() {
         let h = HeartbeatHistory::new();
         assert_eq!(h.suspicion(SimTime::from_secs(100)), 0.0);
-        assert!(!h.suspected(SimTime::from_secs(100), 0.5));
+        assert!(h.suspicion(SimTime::from_secs(100)) < 0.5);
     }
 
     #[test]
     fn single_heartbeat_is_not_enough_to_judge() {
         let mut h = HeartbeatHistory::new();
         h.record(SimTime::from_millis(10));
-        assert_eq!(h.samples(), 0);
+        assert_eq!(h.intervals.len(), 0);
         assert_eq!(h.suspicion(SimTime::from_secs(100)), 0.0);
     }
 
@@ -145,7 +125,7 @@ mod tests {
         // Much longer silence: monotonically more suspicious.
         let long = h.suspicion(SimTime::from_millis(2_400));
         assert!(long > one * 10.0, "long={long} one={one}");
-        assert!(h.suspected(SimTime::from_millis(2_400), 8.0));
+        assert!(long >= 8.0);
     }
 
     #[test]
@@ -167,8 +147,8 @@ mod tests {
         beats(&mut h, &[0, 100, 200]);
         // A late-arriving older heartbeat changes nothing.
         h.record(SimTime::from_millis(150));
-        assert_eq!(h.last_heartbeat(), Some(SimTime::from_millis(200)));
-        assert_eq!(h.samples(), 2);
+        assert_eq!(h.last, Some(SimTime::from_millis(200)));
+        assert_eq!(h.intervals.len(), 2);
         assert!(h.suspicion(SimTime::from_millis(300)).is_finite());
     }
 
@@ -178,7 +158,7 @@ mod tests {
         for i in 0..10_000u64 {
             h.record(SimTime::from_millis(i * 10));
         }
-        assert!(h.samples() <= WINDOW);
+        assert!(h.intervals.len() <= WINDOW);
     }
 
     #[test]
@@ -187,15 +167,6 @@ mod tests {
         // floor instead of zero, so suspicion still rises with silence.
         let mut h = HeartbeatHistory::new();
         beats(&mut h, &[50, 50, 50]);
-        assert!(h.suspected(SimTime::from_secs(10), 8.0));
-    }
-
-    #[test]
-    fn digest_fragment_is_deterministic() {
-        let mut a = HeartbeatHistory::new();
-        let mut b = HeartbeatHistory::new();
-        beats(&mut a, &[0, 100, 250]);
-        beats(&mut b, &[0, 100, 250]);
-        assert_eq!(a.digest_fragment(), b.digest_fragment());
+        assert!(h.suspicion(SimTime::from_secs(10)) >= 8.0);
     }
 }

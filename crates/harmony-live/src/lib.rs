@@ -34,6 +34,7 @@
 //! ```
 
 pub mod cluster;
+mod detector;
 pub mod harmony;
 
 pub use cluster::{LiveCluster, LiveConfig, LiveCounters, Unavailable};

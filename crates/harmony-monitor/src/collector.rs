@@ -43,12 +43,6 @@ pub struct MonitorConfig {
     /// Minimum guaranteed share of all writes for a tracked key to count as
     /// hot (fraction; the `total/capacity` noise floor applies on top).
     pub hot_key_min_share: f64,
-    /// Accrual-suspicion level (φ) at or above which a node's telemetry is
-    /// discounted from the per-replica aggregates, so a failing replica's
-    /// frozen counters do not dilute the cluster estimate. `0.0` disables the
-    /// discount entirely: the detector is never consulted and the sweep is
-    /// byte-identical to one without the feature.
-    pub suspicion_threshold: f64,
 }
 
 impl Default for MonitorConfig {
@@ -60,7 +54,6 @@ impl Default for MonitorConfig {
             probe_threads: 8,
             hot_key_capacity: 64,
             hot_key_min_share: 0.02,
-            suspicion_threshold: 0.0,
         }
     }
 }
@@ -112,13 +105,6 @@ pub struct MonitorSample {
     pub predicted_wait_trend_ms_per_s: f64,
     /// How long the sweep itself took (milliseconds).
     pub sweep_duration_ms: f64,
-    /// Nodes whose accrual suspicion met the configured threshold this sweep;
-    /// their telemetry was excluded from the per-replica aggregates. Always 0
-    /// while the discount is disabled (`suspicion_threshold == 0.0`).
-    pub suspected_nodes: usize,
-    /// Largest per-node accrual suspicion (φ) observed this sweep; 0.0 while
-    /// the discount is disabled or no failure detector is running.
-    pub max_suspicion: f64,
 }
 
 /// One hot key's monitored state after a sweep: the per-key signals the
@@ -304,37 +290,9 @@ impl Monitor {
         // fold several pairwise measurements themselves.)
         let latency_ms = probe.probe_latency_ms();
 
-        // Failure-detector discount: nodes whose accrual suspicion meets the
-        // configured threshold are treated as non-reporting — their entries
-        // are dropped from the per-replica aggregates below and the
-        // per-replica normalisation shrinks accordingly. A suspected node's
-        // frozen counters would otherwise read as "zero backlog, zero
-        // arrivals" and dilute the cluster estimate exactly while the node is
-        // failing. The index filter only applies when a per-node vector is
-        // full-width (one entry per node, the no-fault steady state where the
-        // detector matters); at the default threshold of 0.0 the detector is
-        // never consulted and the sweep is byte-identical.
-        let suspicions = if self.config.suspicion_threshold > 0.0 {
-            probe.node_suspicions(now)
-        } else {
-            Vec::new()
-        };
-        let suspected: Vec<bool> = suspicions
-            .iter()
-            .map(|&phi| phi >= self.config.suspicion_threshold)
-            .collect();
-        let suspected_nodes = suspected.iter().filter(|s| **s).count();
-        let max_suspicion = suspicions.iter().fold(0.0f64, |a, &b| a.max(b));
-        let drop_suspected =
-            |values_len: usize| suspected_nodes > 0 && values_len == suspected.len();
-
         // Backlog: prefer the per-node view (mean + cross-replica spread);
         // fall back to the scalar aggregate for backends without it.
-        let mut replica_backlogs = probe.replica_backlog_ms();
-        if drop_suspected(replica_backlogs.len()) {
-            let mut keep = suspected.iter().map(|s| !s);
-            replica_backlogs.retain(|_| keep.next().unwrap());
-        }
+        let replica_backlogs = probe.replica_backlog_ms();
         let (backlog_ms, backlog_spread_ms) = if replica_backlogs.is_empty() {
             (probe.mutation_backlog_ms().max(0.0), 0.0)
         } else {
@@ -348,11 +306,7 @@ impl Monitor {
         // sweep instead of being averaged away by the run's history. A
         // counter reset (node restart) makes a delta go negative; the sweep
         // then retains the previous estimates and re-baselines.
-        let mut telemetry = probe.write_stage_telemetry();
-        if drop_suspected(telemetry.len()) {
-            let mut keep = suspected.iter().map(|s| !s);
-            telemetry.retain(|_| keep.next().unwrap());
-        }
+        let telemetry = probe.write_stage_telemetry();
         let write_arrivals: u64 = telemetry.iter().map(|t| t.arrivals).sum();
         let completed: u64 = telemetry.iter().map(|t| t.completed).sum();
         let service_total_ms: f64 = telemetry.iter().map(|t| t.service_ms_total).sum();
@@ -460,10 +414,7 @@ impl Monitor {
         // and dividing by the full node count would read its silence as a
         // lower per-replica rate — dragging the utilisation estimate down
         // exactly when replicas are lost.
-        let nodes = probe
-            .live_node_count()
-            .saturating_sub(suspected_nodes)
-            .max(1) as f64;
+        let nodes = probe.live_node_count().max(1) as f64;
         let write_arrival_rate_per_replica =
             self.arrival_estimator.estimate().reads_per_sec / nodes;
 
@@ -524,8 +475,6 @@ impl Monitor {
             predicted_wait_ms,
             predicted_wait_trend_ms_per_s,
             sweep_duration_ms: sweep_duration.as_millis_f64(),
-            suspected_nodes,
-            max_suspicion,
         };
         self.history.push(sample);
         sample
@@ -582,11 +531,6 @@ impl Monitor {
                 last.backlog_trend_ms_per_s,
             ),
             ("harmony_monitor_predicted_wait_ms", last.predicted_wait_ms),
-            ("harmony_monitor_phi_max", last.max_suspicion),
-            (
-                "harmony_monitor_suspected_nodes",
-                last.suspected_nodes as f64,
-            ),
         ] {
             registry.gauge(name).set(value);
         }
@@ -1286,133 +1230,6 @@ mod tests {
         probe.backlog_ms = 2.5;
         let s = m.sweep(SimTime::from_secs(6), &probe);
         assert!(s.backlog_trend_ms_per_s > 0.9);
-    }
-
-    #[test]
-    fn suspicion_discount_disabled_is_byte_identical() {
-        // With the default threshold of 0.0 the detector is never consulted:
-        // a probe scripting wild suspicions produces exactly the sample a
-        // detector-less probe does, sweep after sweep.
-        use harmony_store::node::WriteStageTelemetry;
-        let telemetry = |completed: u64| WriteStageTelemetry {
-            arrivals: completed,
-            completed,
-            service_ms_total: completed as f64 * 0.5,
-            service_ms_sq_total: completed as f64 * 0.25,
-            queued: 0,
-            busy: 0,
-        };
-        let mut plain = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
-            probe_cost_per_node_ms: 0.0,
-            ..MonitorConfig::default()
-        });
-        let mut with_detector = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
-            probe_cost_per_node_ms: 0.0,
-            ..MonitorConfig::default()
-        });
-        let probe = MockProbe {
-            nodes: 3,
-            latency_ms: 0.3,
-            write_concurrency: 1,
-            write_telemetry: vec![telemetry(100); 3],
-            replica_backlogs: vec![2.0, 4.0, 6.0],
-            ..MockProbe::default()
-        };
-        let suspicious = MockProbe {
-            suspicions: vec![0.0, 99.0, 3.0],
-            ..probe.clone()
-        };
-        for i in 1..=4u64 {
-            let a = plain.sweep(SimTime::from_secs(i), &probe);
-            let b = with_detector.sweep(SimTime::from_secs(i), &suspicious);
-            assert_eq!(a, b, "disabled discount must be the identity");
-            assert_eq!(b.suspected_nodes, 0);
-            assert_eq!(b.max_suspicion, 0.0);
-        }
-    }
-
-    #[test]
-    fn suspected_node_is_discounted_from_the_aggregates() {
-        // One node's detector suspicion crosses the threshold: its frozen
-        // telemetry (zero arrivals, zero backlog) is dropped from the
-        // per-replica aggregates instead of diluting them, and the
-        // per-replica normalisation shrinks to the trusted nodes.
-        use harmony_store::node::WriteStageTelemetry;
-        let telemetry = |completed: u64| WriteStageTelemetry {
-            arrivals: completed,
-            completed,
-            service_ms_total: completed as f64 * 0.5,
-            service_ms_sq_total: completed as f64 * 0.25,
-            queued: 0,
-            busy: 0,
-        };
-        let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
-            probe_cost_per_node_ms: 0.0,
-            suspicion_threshold: 8.0,
-            ..MonitorConfig::default()
-        });
-        let mut probe = MockProbe {
-            nodes: 4,
-            live_nodes: Some(4),
-            latency_ms: 0.3,
-            write_concurrency: 1,
-            write_telemetry: vec![telemetry(0); 4],
-            replica_backlogs: vec![8.0, 8.0, 8.0, 8.0],
-            suspicions: vec![0.1, 0.2, 0.1, 0.3],
-            ..MockProbe::default()
-        };
-        let s = m.sweep(SimTime::from_secs(1), &probe);
-        assert_eq!(s.suspected_nodes, 0, "below threshold nothing is dropped");
-
-        // The fourth node goes silent: the fault layer still counts it live
-        // (no crash was observed), but φ blows past the threshold. Its dead
-        // entries must not read as "a fast, empty replica".
-        probe.suspicions = vec![0.1, 0.2, 0.1, 12.5];
-        probe.write_telemetry = vec![telemetry(100), telemetry(100), telemetry(100), telemetry(0)];
-        probe.replica_backlogs = vec![8.0, 8.0, 8.0, 0.0];
-        let s = m.sweep(SimTime::from_secs(2), &probe);
-        assert_eq!(s.suspected_nodes, 1);
-        assert_eq!(s.max_suspicion, 12.5);
-        // 300 arrivals over 3 trusted nodes = 100 jobs/s per replica; the
-        // undiscounted figure would be 75 — understating pressure exactly
-        // while a replica is failing.
-        assert!(
-            (s.write_arrival_rate_per_replica - 100.0).abs() < 1.0,
-            "rate must be normalised over trusted nodes, got {}",
-            s.write_arrival_rate_per_replica
-        );
-        // The suspect's phantom 0 ms backlog is excluded: mean 8, spread 0
-        // (with it, mean 6 and a wide spread).
-        assert!((s.backlog_ms - 8.0).abs() < 1e-12, "mean={}", s.backlog_ms);
-        assert_eq!(s.backlog_spread_ms, 0.0);
-    }
-
-    #[test]
-    fn mismatched_suspicion_vector_is_reported_but_not_index_filtered() {
-        // A backend may report fewer backlog entries than nodes (e.g. only
-        // serving replicas). Index-filtering a non-full-width vector would
-        // drop the wrong node, so the discount only reports the suspicion
-        // summary and shrinks the normalisation count.
-        let mut m = Monitor::new(MonitorConfig {
-            probe_cost_per_node_ms: 0.0,
-            suspicion_threshold: 8.0,
-            ..MonitorConfig::default()
-        });
-        let probe = MockProbe {
-            nodes: 4,
-            latency_ms: 0.3,
-            replica_backlogs: vec![5.0, 5.0, 5.0],
-            suspicions: vec![0.0, 0.0, 0.0, 20.0],
-            ..MockProbe::default()
-        };
-        let s = m.sweep(SimTime::from_secs(1), &probe);
-        assert_eq!(s.suspected_nodes, 1);
-        assert_eq!(s.max_suspicion, 20.0);
-        assert!((s.backlog_ms - 5.0).abs() < 1e-12);
-        assert_eq!(s.backlog_spread_ms, 0.0);
     }
 
     #[test]

@@ -109,13 +109,9 @@ pub trait ClusterProbe {
     fn fault_epoch(&self) -> u64 {
         0
     }
-    /// Accrual failure-detector suspicion (φ) per node, one entry per node
-    /// in node-id order, evaluated at virtual time `now`. φ rises the longer
-    /// a node has gone silent relative to its observed heartbeat cadence;
-    /// the monitor can discount telemetry from highly suspected nodes so a
-    /// failing replica's frozen counters do not dilute the cluster estimate.
-    /// Backends without a detector report an empty vector and no discount is
-    /// ever applied.
+    /// Has no caller and no implementation beyond this empty default. It
+    /// stays only because the benchmark driver forwards every method of this
+    /// trait; it goes with that forward at the next change to the benchmark.
     fn node_suspicions(&self, _now: SimTime) -> Vec<f64> {
         Vec::new()
     }
@@ -177,10 +173,6 @@ impl ClusterProbe for Cluster {
     fn fault_epoch(&self) -> u64 {
         self.fault_state().counters().total()
     }
-
-    fn node_suspicions(&self, now: SimTime) -> Vec<f64> {
-        Cluster::node_suspicions(self, now)
-    }
 }
 
 /// A scripted probe for unit tests and offline model exploration. Carries
@@ -212,8 +204,6 @@ pub struct MockProbe {
     pub key_backlogs: std::collections::HashMap<String, f64>,
     /// Scripted fault epoch; bump it to simulate a topology change.
     pub epoch: u64,
-    /// Scripted per-node accrual suspicions; empty = no failure detector.
-    pub suspicions: Vec<f64>,
     /// Scripted per-shard cumulative sketches; `Some` switches the monitor
     /// onto the sharded sketch-merge path instead of the sample drain.
     pub sketches: Option<Vec<crate::heavy_hitters::SpaceSavingSketch>>,
@@ -288,9 +278,6 @@ impl ClusterProbe for MockProbe {
     }
     fn fault_epoch(&self) -> u64 {
         self.epoch
-    }
-    fn node_suspicions(&self, _now: SimTime) -> Vec<f64> {
-        self.suspicions.clone()
     }
 }
 

@@ -21,7 +21,6 @@
 
 use crate::config::StoreConfig;
 use crate::consistency::ConsistencyLevel;
-use crate::detector::HeartbeatHistory;
 use crate::hashring::HashRing;
 use crate::keys::{KeyId, KeyTable};
 use crate::messages::{Message, OpId, OpKind, StoreEvent};
@@ -308,10 +307,6 @@ pub struct Cluster {
     /// offering its tables for repair. Never advances while the subsystem is
     /// idle (disabled runs stay byte-identical).
     ae_cursor: usize,
-    /// Accrual failure detector: one heartbeat history per node slot. Empty
-    /// histories cost nothing; they only accumulate state while
-    /// [`StoreConfig::failure_detector_enabled`] is set.
-    detectors: Vec<HeartbeatHistory>,
     /// Per-op tracing + flight recorder ([`harmony-obs`]). `None` (the
     /// default) reduces every hook to one branch, and the golden pins stay
     /// byte-identical. Boxed plain data, no `Arc` — a cloned cluster gets an
@@ -373,7 +368,6 @@ impl Cluster {
             hinted_handoff_enabled: true,
             partition_churn_baseline: 0,
             ae_cursor: 0,
-            detectors: vec![HeartbeatHistory::new(); node_count],
             read_service,
             write_service,
             next_op: 0,
@@ -1081,11 +1075,12 @@ impl Cluster {
         if !self.faults.is_serving(dest) {
             // The destination died (or left) while this message was in
             // flight — the race the schedule-time reachability checks cannot
-            // close. Mutations become hints; reads are answered with a miss
-            // by the failure detector so the coordinator makes progress;
-            // client operations reaching a dead coordinator abort (the
-            // client driver's connection error — this also covers the
-            // all-nodes-down case, where any coordinator pick is dead);
+            // close. Mutations become hints; reads get an immediate miss
+            // sent back to a coordinator on this side of any cut, so it
+            // makes progress; client operations reaching a dead coordinator
+            // abort (the client driver's connection error — this also
+            // covers the all-nodes-down case, where any coordinator pick is
+            // dead);
             // other coordination traffic is simply lost (its pending
             // operations were aborted when the coordinator crashed).
             match message {
@@ -1118,10 +1113,10 @@ impl Cluster {
                 // active partition — hinting it under the destination's own
                 // name would let it smuggle data across a later cut.
                 Message::RepairWrite { .. } => {}
-                // The failure-detector miss is local information: it reaches
-                // the coordinator only on its own side of any active cut (a
-                // replica that is merely partitioned away strands the read
-                // instead, and the chaos reaper aborts it).
+                // The immediate miss reaches the coordinator only on the
+                // dead replica's side of any active cut (a replica that is
+                // merely partitioned away strands the read instead, and the
+                // chaos reaper aborts it).
                 Message::ReplicaRead {
                     op, coordinator, ..
                 } if self.faults.is_serving(coordinator)
@@ -1176,13 +1171,9 @@ impl Cluster {
                 consistency,
             } => self.coordinate_write(dest, op, key, mutation, consistency, ctx),
             Message::ReplicaReadResponse { op, from, row } => {
-                self.note_heartbeat(from, ctx.now());
                 self.on_read_response(op, from, row, ctx)
             }
-            Message::ReplicaWriteAck { op, from } => {
-                self.note_heartbeat(from, ctx.now());
-                self.on_write_ack(op, from, ctx)
-            }
+            Message::ReplicaWriteAck { op, from } => self.on_write_ack(op, from, ctx),
             Message::AeDigest { from, buckets } => self.on_ae_digest(dest, from, &buckets, ctx),
             Message::AeKeys {
                 from,
@@ -1247,27 +1238,6 @@ impl Cluster {
                     break;
                 }
             }
-        }
-        // With the accrual detector on, deprioritise suspected replicas: a
-        // stable partition of the distance-sorted slice, so an unsuspected
-        // farther replica is preferred over a suspected closer one while
-        // ties keep the snitch order. Without heartbeat history (or with the
-        // detector off) nothing moves.
-        if self.config.failure_detector_enabled {
-            let now = ctx.now();
-            let threshold = self.config.suspicion_threshold;
-            let mut reordered = [NodeId(0); MAX_RF];
-            let mut len = 0usize;
-            for pass in 0..2 {
-                for &r in slice.iter() {
-                    let suspected = self.suspicion_of(r, now) >= threshold;
-                    if suspected == (pass == 1) {
-                        reordered[len] = r;
-                        len += 1;
-                    }
-                }
-            }
-            slice.copy_from_slice(&reordered[..slice.len()]);
         }
         let Some(state) = self.ops.get_mut(op) else {
             return;
@@ -1858,10 +1828,11 @@ impl Cluster {
     }
 
     /// Fail-stop crash. Queued mutations survive as hints and replay on
-    /// restart (hinted handoff); queued reads are answered with a miss by the
-    /// failure detector; work already in service completes silently; and the
-    /// operations this node was coordinating are aborted so no client session
-    /// waits on a reply that can never come.
+    /// restart (hinted handoff); queued reads get an immediate miss sent back
+    /// to a coordinator on this node's side of any cut; work already in
+    /// service completes silently; and the operations this node was
+    /// coordinating are aborted so no client session waits on a reply that
+    /// can never come.
     fn crash_node<C: EventCtx<StoreEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         if !self.faults.crash(node) {
             return;
@@ -2222,39 +2193,6 @@ impl Cluster {
         true
     }
 
-    // ---- accrual failure detection ----------------------------------------
-
-    /// Records a replica response as a failure-detector heartbeat. A no-op
-    /// while the detector is disabled, so a detector-less run accumulates no
-    /// extra state (and stays byte-identical in the state digest).
-    fn note_heartbeat(&mut self, from: NodeId, now: SimTime) {
-        if !self.config.failure_detector_enabled {
-            return;
-        }
-        if let Some(history) = self.detectors.get_mut(from.index()) {
-            history.record(now);
-        }
-    }
-
-    /// φ suspicion of one node at `now`; zero without history.
-    fn suspicion_of(&self, node: NodeId, now: SimTime) -> f64 {
-        self.detectors
-            .get(node.index())
-            .map(|h| h.suspicion(now))
-            .unwrap_or(0.0)
-    }
-
-    /// Per-node φ suspicion levels at `now`, indexed by node id — the
-    /// telemetry the monitoring module exposes so the controller can
-    /// discount readings from suspected nodes. All zeros while the detector
-    /// is disabled.
-    pub fn node_suspicions(&self, now: SimTime) -> Vec<f64> {
-        if !self.config.failure_detector_enabled {
-            return vec![0.0; self.nodes.len()];
-        }
-        self.detectors.iter().map(|h| h.suspicion(now)).collect()
-    }
-
     /// Elastic scale-out: a new node joins at `location`, takes its tokens on
     /// the ring, and is bootstrapped with the freshest copy of every key it
     /// now owns before serving reads (Cassandra's bootstrap-then-serve).
@@ -2269,7 +2207,6 @@ impl Cluster {
             self.config.node_concurrency,
         ));
         self.hints.push(Vec::new());
-        self.detectors.push(HeartbeatHistory::new());
         self.rebuild_ring();
         self.rebalance_all_keys();
         id
@@ -2552,15 +2489,6 @@ impl Cluster {
             self.write_key_samples.borrow(),
             self.ae_cursor,
         );
-        if self.config.failure_detector_enabled {
-            // Heartbeat histories steer replica selection, so they are
-            // protocol state — but only when the detector can observe them.
-            // Disabled they stay default-empty and are omitted, keeping the
-            // digest stable across the flag for otherwise-identical state.
-            for (i, h) in self.detectors.iter().enumerate() {
-                let _ = write!(s, "fd{i}:{};", h.digest_fragment());
-            }
-        }
         s
     }
 
@@ -3968,53 +3896,5 @@ mod tests {
             let _ = drain(&mut cluster, &mut sim);
         }
         assert!(cluster.all_replicas_converged());
-    }
-
-    #[test]
-    fn failure_detector_records_heartbeats_and_steers_reads() {
-        // With the detector on, replica responses build per-node histories;
-        // after a replica goes silent long enough its suspicion crosses the
-        // threshold and `node_suspicions` exposes it.
-        let topology = Topology::single_dc(2, 3);
-        let network = NetworkModel::uniform(Latency::constant_ms(0.2));
-        let config = StoreConfig {
-            replication_factor: 3,
-            failure_detector_enabled: true,
-            background_read_repair_chance: 0.0,
-            ..StoreConfig::default()
-        };
-        let mut cluster = Cluster::new(config, topology, network, RngFactory::new(7));
-        let mut sim: Simulation<StoreEvent> = Simulation::new(7);
-        cluster.load_direct("k", &Mutation::single("f", b"v0".to_vec()), Timestamp(1));
-        for _ in 0..30 {
-            cluster.submit_read("k", ConsistencyLevel::All, &mut sim);
-            let _ = drain(&mut cluster, &mut sim);
-        }
-        let key = cluster.key_id("k").unwrap();
-        let replica = cluster.replicas_for_id(key).as_slice()[0];
-        // Immediately after the last response the silence is at most a few
-        // network round-trips — far below any convict threshold.
-        let now = sim.now();
-        assert!(cluster.suspicion_of(replica, now) < 8.0);
-        // A long silence (vs. the observed per-read cadence) turns into
-        // suspicion well past the convict threshold.
-        let later = now.saturating_add(SimTime::from_secs(60));
-        let suspicions = cluster.node_suspicions(later);
-        assert!(
-            suspicions[replica.index()] > 8.0,
-            "suspicions={suspicions:?}"
-        );
-    }
-
-    #[test]
-    fn disabled_failure_detector_reports_zero_suspicion() {
-        let (mut cluster, mut sim) = test_cluster(0.2);
-        cluster.load_direct("k", &Mutation::single("f", b"v0".to_vec()), Timestamp(1));
-        for _ in 0..10 {
-            cluster.submit_read("k", ConsistencyLevel::All, &mut sim);
-            let _ = drain(&mut cluster, &mut sim);
-        }
-        let later = sim.now().saturating_add(SimTime::from_secs(3600));
-        assert!(cluster.node_suspicions(later).iter().all(|s| *s == 0.0));
     }
 }

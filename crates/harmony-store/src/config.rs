@@ -55,15 +55,6 @@ pub struct StoreConfig {
     /// keeping, and anti-entropy closes whatever the eviction lost. `0` (the
     /// default) means unbounded, the pre-cap behaviour.
     pub hint_cap_per_origin: usize,
-    /// Enables the accrual (φ) failure detector: replica responses count as
-    /// heartbeats and the coordinator deprioritises suspected replicas when
-    /// choosing which to contact. Off by default; a disabled detector records
-    /// nothing and changes nothing.
-    pub failure_detector_enabled: bool,
-    /// φ level at which a node counts as suspected (Cassandra's convention
-    /// is 8 ≙ a 10⁻⁸-probability silence). Only consulted when the detector
-    /// is enabled.
-    pub suspicion_threshold: f64,
 }
 
 impl Default for StoreConfig {
@@ -83,8 +74,6 @@ impl Default for StoreConfig {
             anti_entropy_interval_secs: 0.0,
             anti_entropy_buckets: 16,
             hint_cap_per_origin: 0,
-            failure_detector_enabled: false,
-            suspicion_threshold: 8.0,
         }
     }
 }
@@ -116,29 +105,37 @@ impl StoreConfig {
         if self.node_concurrency == 0 {
             return Err("node_concurrency must be at least 1".into());
         }
-        if self.read_service_ms < 0.0 || self.write_service_ms < 0.0 {
-            return Err("service times must be non-negative".into());
+        if !finite_non_negative(self.read_service_ms) || !finite_non_negative(self.write_service_ms)
+        {
+            return Err("service times must be finite and non-negative".into());
         }
         if self.write_service_shape == 0 {
             return Err("write_service_shape must be at least 1".into());
         }
-        if self.node_service_factors.iter().any(|f| *f < 0.0) {
-            return Err("node_service_factors must be non-negative".into());
+        if !self
+            .node_service_factors
+            .iter()
+            .all(|f| finite_non_negative(*f))
+        {
+            return Err("node_service_factors must be finite and non-negative".into());
         }
-        if self.client_latency_ms < 0.0 {
-            return Err("client_latency_ms must be non-negative".into());
+        if !finite_non_negative(self.client_latency_ms) {
+            return Err("client_latency_ms must be finite and non-negative".into());
         }
-        if !self.anti_entropy_interval_secs.is_finite() || self.anti_entropy_interval_secs < 0.0 {
+        if !finite_non_negative(self.anti_entropy_interval_secs) {
             return Err("anti_entropy_interval_secs must be finite and non-negative".into());
         }
         if self.anti_entropy_buckets == 0 {
             return Err("anti_entropy_buckets must be at least 1".into());
         }
-        if !self.suspicion_threshold.is_finite() || self.suspicion_threshold <= 0.0 {
-            return Err("suspicion_threshold must be finite and positive".into());
-        }
         Ok(())
     }
+}
+
+/// `true` for a finite value `>= 0`; NaN and ±∞ fail (the service and
+/// latency samplers would otherwise run them as zero).
+fn finite_non_negative(x: f64) -> bool {
+    x.is_finite() && x >= 0.0
 }
 
 #[cfg(test)]
@@ -222,11 +219,29 @@ mod tests {
         };
         assert!(c.validate().is_err());
 
-        let c = StoreConfig {
-            suspicion_threshold: 0.0,
-            ..StoreConfig::default()
-        };
-        assert!(c.validate().is_err());
+        // Infinite and NaN times would otherwise run as zero-cost service.
+        for bad in [f64::INFINITY, f64::NAN] {
+            for c in [
+                StoreConfig {
+                    read_service_ms: bad,
+                    ..StoreConfig::default()
+                },
+                StoreConfig {
+                    write_service_ms: bad,
+                    ..StoreConfig::default()
+                },
+                StoreConfig {
+                    client_latency_ms: bad,
+                    ..StoreConfig::default()
+                },
+                StoreConfig {
+                    node_service_factors: vec![1.0, bad],
+                    ..StoreConfig::default()
+                },
+            ] {
+                assert!(c.validate().is_err());
+            }
+        }
     }
 
     #[test]
@@ -234,7 +249,6 @@ mod tests {
         let c = StoreConfig::default();
         assert_eq!(c.anti_entropy_interval_secs, 0.0);
         assert_eq!(c.hint_cap_per_origin, 0);
-        assert!(!c.failure_detector_enabled);
     }
 
     #[test]

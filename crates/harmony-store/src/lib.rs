@@ -52,7 +52,6 @@
 pub mod cluster;
 pub mod config;
 pub mod consistency;
-pub mod detector;
 pub mod engine;
 pub mod hashring;
 pub mod keys;
@@ -69,7 +68,6 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, ClusterTotals, Completion};
     pub use crate::config::StoreConfig;
     pub use crate::consistency::ConsistencyLevel;
-    pub use crate::detector::HeartbeatHistory;
     pub use crate::keys::{KeyId, KeyTable};
     pub use crate::machine::{HarmonyMachine, MachineEvent, OnEvent, ProtocolTimer};
     pub use crate::messages::{Message, OpId, OpKind, StoreEvent};

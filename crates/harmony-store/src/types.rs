@@ -50,11 +50,6 @@ impl Cell {
             timestamp,
         }
     }
-
-    /// The approximate in-memory size of this cell in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.value.len() + std::mem::size_of::<Timestamp>()
-    }
 }
 
 /// A row: a set of named columns, each carrying its own timestamp.
@@ -146,14 +141,6 @@ impl Row {
             .unwrap_or(Timestamp::ZERO)
     }
 
-    /// Total payload size of the row in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|(k, v)| k.len() + v.size_bytes())
-            .sum()
-    }
-
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.columns.len()
@@ -208,11 +195,6 @@ impl Mutation {
             .map(|(name, value)| (name, Cell { value, timestamp }))
             .collect();
         Row { columns }
-    }
-
-    /// Total payload size of the mutation in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.columns.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
 
     /// Number of columns touched.
@@ -387,7 +369,6 @@ mod tests {
     fn mutation_into_row_stamps_all_columns() {
         let m = Mutation::ycsb_row(3, 10);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.size_bytes(), 3 * (6 + 10));
         let row = m.into_row(Timestamp(42));
         assert_eq!(row.len(), 3);
         for c in row.columns.values() {
@@ -410,14 +391,7 @@ mod tests {
         cols.insert("a".to_string(), vec![0u8; 4]);
         cols.insert("b".to_string(), vec![0u8; 6]);
         let m = Mutation::multi(cols);
-        assert_eq!(m.size_bytes(), 1 + 4 + 1 + 6);
-    }
-
-    #[test]
-    fn row_size_accounts_for_names_and_values() {
-        let mut r = Row::new();
-        r.columns.insert("ab".into(), cell("xyz", 1));
-        assert_eq!(r.size_bytes(), 2 + 3 + std::mem::size_of::<Timestamp>());
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

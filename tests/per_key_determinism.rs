@@ -237,9 +237,8 @@ fn golden_stats_pin_for_seed_20120920() {
     // And the self-healing-degeneration guard: the same run routed through
     // the retry-aware entry point, with every repair knob present but
     // disabled (default retry/hedge policy, anti-entropy interval at zero,
-    // suspicion discounting at zero, repair-blind staleness model), must
-    // reproduce the exact same timeline and outcome. The knobs are free
-    // until armed.
+    // repair-blind staleness model), must reproduce the exact same timeline
+    // and outcome. The knobs are free until armed.
     let healed_off = run_split_through_retry_entry_point(20120920);
     assert_eq!(healed_off.decisions, r.decisions);
     assert_eq!(healed_off.hot_set, r.hot_set);
