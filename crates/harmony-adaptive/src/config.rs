@@ -1,31 +1,9 @@
 //! Configuration of the adaptive-consistency controller.
 
-use harmony_model::perkey::PerKeyModel;
 use harmony_model::queueing::{ProactiveConfig, QueueingModel};
 use harmony_model::staleness::PropagationModel;
-use harmony_monitor::collector::MonitorConfig;
-use harmony_sim::clock::SimTime;
+use harmony_monitor::collector::{EstimatorKind, MonitorConfig};
 use serde::{Deserialize, Serialize};
-
-/// Configuration of the controller's per-key split decisions: a strong-read
-/// hot set escalated against the policy's tolerance, plus the policy's own
-/// decision as the cheap default for the cold tail.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PerKeySplitConfig {
-    /// Whether split decisions are made at all. Disabled, the controller is
-    /// exactly the cluster-wide (global) controller.
-    pub enabled: bool,
-    /// How a hot key's backlog and arrival intensity specialise the global
-    /// staleness estimate.
-    pub model: PerKeyModel,
-    /// The propagation window used for *per-key* decisions. The global
-    /// controller is typically calibrated with a differential window (only a
-    /// fraction of the latency counts, because at aggregate rates the
-    /// single-object closed form badly over-counts); evaluated at one key's
-    /// own rates the model's assumptions actually hold, so the per-key window
-    /// defaults to the paper's conservative full propagation time.
-    pub propagation: harmony_model::staleness::PropagationModel,
-}
 
 /// Configuration of an [`crate::controller::AdaptiveController`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,8 +17,11 @@ pub struct ControllerConfig {
     /// arrival/service rates, growth trend) become the queue-wait spread of
     /// the propagation-time distribution.
     pub queueing: QueueingModel,
-    /// Per-key split decisions for skewed workloads (hot set + cheap default).
-    pub per_key: PerKeySplitConfig,
+    /// Per-key split decisions for skewed workloads: a strong-read hot set
+    /// escalated against the policy's tolerance, plus the policy's own
+    /// decision as the cheap default for the cold tail. Off, the controller
+    /// is exactly the cluster-wide (global) controller.
+    pub per_key_split: bool,
     /// Proactive (predicted-wait) control: blend the M/G/1 predicted wait
     /// dispersion into the staleness window and escalate on predicted
     /// divergence. Disabled by default; disabled, the controller is
@@ -65,7 +46,7 @@ impl Default for ControllerConfig {
             monitor: MonitorConfig::default(),
             propagation: PropagationModel::default(),
             queueing: QueueingModel::default(),
-            per_key: PerKeySplitConfig::default(),
+            per_key_split: false,
             proactive: ProactiveConfig::default(),
             avg_write_size_bytes: 1024.0,
             anti_entropy_repair_rate: 0.0,
@@ -74,25 +55,52 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
+    /// The calibrated controller every figure runs: a monitoring sweep
+    /// every 50 ms (so even the shortest runs span several adaptation
+    /// periods), rates smoothed over a 250 ms window, and a differential
+    /// propagation window — writes are acknowledged once the first replica
+    /// has applied them, so the staleness window fed to the model is the
+    /// *spread* of replica propagation times rather than the full one-way
+    /// latency. The same calibration applies to the queueing model: only the
+    /// differential fraction of the cross-replica queue-wait dispersion
+    /// widens the window.
+    pub fn calibrated() -> Self {
+        ControllerConfig {
+            monitor: MonitorConfig {
+                // The paper's monitor runs continuously over minutes-long
+                // runs; our scaled runs last a few virtual seconds, so the
+                // monitoring period is scaled down proportionally.
+                interval_secs: 0.05,
+                estimator: EstimatorKind::SlidingWindow(0.25),
+                ..MonitorConfig::default()
+            },
+            propagation: PropagationModel::differential(0.02, 0.005),
+            // The queueing analogue of the differential latency window: only
+            // a small calibrated fraction of the measured cross-replica
+            // backlog dispersion enters the staleness window (the
+            // conditional closed form overweights long windows at high
+            // access rates), and the divergence detector requires the
+            // backlog to outgrow 4x its own magnitude per second so stable
+            // saturation is not misread as a runaway queue.
+            queueing: QueueingModel {
+                divergence_growth: 4.0,
+                ..QueueingModel::differential(1e-4)
+            },
+            avg_write_size_bytes: 100.0,
+            ..ControllerConfig::default()
+        }
+    }
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        // The runner re-arms its monitoring tick every `interval`: an
-        // interval that rounds to zero virtual nanoseconds (or is not a
-        // number at all) would tick forever at one instant.
-        let interval = self.monitor.interval_secs;
-        if !interval.is_finite() || SimTime::from_secs_f64(interval) <= SimTime::ZERO {
-            return Err("monitor interval must be finite and at least one nanosecond".into());
-        }
+        self.monitor.validate()?;
         if !self.avg_write_size_bytes.is_finite() || self.avg_write_size_bytes < 0.0 {
             return Err("average write size must be finite and non-negative".into());
         }
         if !self.anti_entropy_repair_rate.is_finite() || self.anti_entropy_repair_rate < 0.0 {
             return Err("anti-entropy repair rate must be finite and non-negative".into());
         }
-        self.queueing.validate()?;
-        self.per_key.model.validate()?;
-        self.proactive.validate()?;
-        Ok(())
+        self.queueing.validate()
     }
 }
 
@@ -103,6 +111,7 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert!(ControllerConfig::default().validate().is_ok());
+        assert!(ControllerConfig::calibrated().validate().is_ok());
     }
 
     #[test]
@@ -121,18 +130,22 @@ mod tests {
             assert!(c.validate().is_err(), "write size {bad} must be rejected");
         }
 
-        let mut c = ControllerConfig::default();
-        c.queueing.spread_shape = -1.0;
-        assert!(c.validate().is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = ControllerConfig::default();
+            c.monitor.estimator = EstimatorKind::SlidingWindow(bad);
+            assert!(c.validate().is_err(), "window {bad} must be rejected");
+        }
 
-        let mut c = ControllerConfig::default();
-        c.per_key.model.backlog_fraction = 2.0;
-        assert!(c.validate().is_err());
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let mut c = ControllerConfig::default();
+            c.monitor.hot_key_min_share = bad;
+            assert!(c.validate().is_err(), "min share {bad} must be rejected");
+        }
     }
 
     #[test]
     fn per_key_split_is_off_by_default() {
-        assert!(!ControllerConfig::default().per_key.enabled);
+        assert!(!ControllerConfig::default().per_key_split);
     }
 
     #[test]
@@ -155,8 +168,10 @@ mod tests {
     #[test]
     fn proactive_control_is_off_by_default_and_validated() {
         assert!(!ControllerConfig::default().proactive.enabled);
-        let mut c = ControllerConfig::default();
-        c.proactive.prediction_weight = 2.0;
-        assert!(c.validate().is_err());
+        let c = ControllerConfig {
+            proactive: ProactiveConfig::enabled(),
+            ..ControllerConfig::default()
+        };
+        assert!(c.validate().is_ok());
     }
 }

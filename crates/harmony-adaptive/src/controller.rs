@@ -8,9 +8,9 @@
 
 use crate::config::ControllerConfig;
 use crate::policy::{ConsistencyPolicy, PolicyContext};
-use harmony_model::perkey::KeyLoad;
-use harmony_model::queueing::WriteStageObservation;
-use harmony_model::staleness::StaleReadModel;
+use harmony_model::perkey::{self, KeyLoad};
+use harmony_model::queueing::{StalenessEstimate, WriteStageObservation};
+use harmony_model::staleness::{PropagationModel, StaleReadModel};
 use harmony_monitor::collector::Monitor;
 use harmony_monitor::probe::ClusterProbe;
 use harmony_obs::audit::DecisionAudit;
@@ -223,11 +223,6 @@ impl AdaptiveController {
         &self.decisions
     }
 
-    /// Read-only access to the embedded monitor.
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
     /// Runs one control iteration at virtual time `now` against the given
     /// cluster probe and returns the (possibly unchanged) read level.
     pub fn tick<P: ClusterProbe + ?Sized>(&mut self, now: SimTime, probe: &P) -> ConsistencyLevel {
@@ -285,7 +280,7 @@ impl AdaptiveController {
         // skipped entirely and the decision is byte-identical to the global
         // controller's.
         let tolerance = self.policy.tolerated_stale_rate();
-        let split_active = self.config.per_key.enabled
+        let split_active = self.config.per_key_split
             && tolerance.is_some()
             && !self.monitor.hot_key_stats().is_empty();
         let (default_read_rate, default_write_rate) = if split_active {
@@ -311,14 +306,13 @@ impl AdaptiveController {
         self.hot_decisions.clear();
         if split_active {
             let asr = tolerance.expect("split_active implies a tolerance");
-            // Per-key decisions use the per-key propagation window (full by
-            // default, where the global one is differential) on top of the
-            // same queue-health signals.
-            let per_key_staleness = harmony_model::queueing::StalenessEstimate {
-                tp_network_secs: self
-                    .config
-                    .per_key
-                    .propagation
+            // Per-key decisions use the paper's full propagation window on
+            // top of the same queue-health signals. The global window is
+            // differential because at aggregate rates the single-object
+            // closed form badly over-counts; evaluated at one key's own
+            // rates the model's assumptions actually hold.
+            let per_key_staleness = StalenessEstimate {
+                tp_network_secs: PropagationModel::default()
                     .propagation_time_secs(sample.latency_ms, self.config.avg_write_size_bytes),
                 ..staleness
             };
@@ -331,12 +325,8 @@ impl AdaptiveController {
                     write_rate: stat.write_rate.max(0.0),
                     backlog_ms: stat.backlog_ms.max(0.0),
                 };
-                let replicas = self.config.per_key.model.required_replicas(
-                    &self.model,
-                    asr,
-                    &per_key_staleness,
-                    &load,
-                );
+                let replicas =
+                    perkey::required_replicas(&self.model, asr, &per_key_staleness, &load);
                 let level = ConsistencyLevel::from_replica_count(replicas, self.replication_factor);
                 self.hot_set.insert(stat.key, level);
                 self.hot_decisions.push(HotKeyDecision {
@@ -459,7 +449,7 @@ mod tests {
         let mut c = AdaptiveController::new(
             ControllerConfig {
                 monitor: harmony_monitor::collector::MonitorConfig {
-                    estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                    estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                     ..Default::default()
                 },
                 ..Default::default()
@@ -476,7 +466,8 @@ mod tests {
         probe.writes = 4_000;
         let busy = c.tick(SimTime::from_secs(1), &probe);
         assert!(busy.required_acks(5) > 1);
-        // Load disappears; with an alpha-1 EWMA the very next tick sees it.
+        // Load disappears; with a window of one sweep the very next tick
+        // sees it.
         let calm = c.tick(SimTime::from_secs(10), &probe);
         assert_eq!(calm, ConsistencyLevel::One);
     }
@@ -504,7 +495,7 @@ mod tests {
             AdaptiveController::new(
                 ControllerConfig {
                     monitor: harmony_monitor::collector::MonitorConfig {
-                        estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                        estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                         ..Default::default()
                     },
                     ..Default::default()
@@ -547,14 +538,11 @@ mod tests {
         AdaptiveController::new(
             ControllerConfig {
                 monitor: harmony_monitor::collector::MonitorConfig {
-                    estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                    estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                     hot_key_capacity: 4,
                     ..Default::default()
                 },
-                per_key: crate::config::PerKeySplitConfig {
-                    enabled: true,
-                    ..Default::default()
-                },
+                per_key_split: true,
                 ..Default::default()
             },
             5,
@@ -624,14 +612,11 @@ mod tests {
             let mut c = AdaptiveController::new(
                 ControllerConfig {
                     monitor: harmony_monitor::collector::MonitorConfig {
-                        estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                        estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                         hot_key_capacity: 4,
                         ..Default::default()
                     },
-                    per_key: crate::config::PerKeySplitConfig {
-                        enabled,
-                        ..Default::default()
-                    },
+                    per_key_split: enabled,
                     ..Default::default()
                 },
                 5,
@@ -695,7 +680,7 @@ mod tests {
         let mut c = AdaptiveController::new(
             ControllerConfig {
                 monitor: harmony_monitor::collector::MonitorConfig {
-                    estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                    estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                     ..Default::default()
                 },
                 proactive,
@@ -757,41 +742,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disabled_proactive_controller_is_byte_identical() {
-        let run = |proactive: harmony_model::queueing::ProactiveConfig| {
-            let mut c = AdaptiveController::new(
-                ControllerConfig {
-                    proactive,
-                    ..Default::default()
-                },
-                5,
-                Box::new(HarmonyPolicy::new(5, 0.2)),
-            );
-            let mut probe = MockProbe {
-                nodes: 10,
-                latency_ms: 1.0,
-                replica_backlogs: vec![1.0, 2.0, 5.0, 0.5, 3.0, 1.0, 2.0, 4.0, 0.0, 2.5],
-                ..MockProbe::default()
-            };
-            for tick in 1..=8u64 {
-                probe.reads += 4_000;
-                probe.writes += 3_000;
-                c.tick(SimTime::from_secs(tick), &probe);
-            }
-            c.decisions().to_vec()
-        };
-        let default_run = run(harmony_model::queueing::ProactiveConfig::default());
-        // Tuned knobs must be inert while the master switch is off.
-        let tuned_but_off = run(harmony_model::queueing::ProactiveConfig {
-            enabled: false,
-            prediction_weight: 1.0,
-            min_utilization: 0.0,
-            horizon_secs: 9.0,
-        });
-        assert_eq!(default_run, tuned_but_off);
-    }
-
     /// The repair term at rate zero is the identity: the decision stream is
     /// byte-identical to a controller that has never heard of repair.
     #[test]
@@ -831,7 +781,7 @@ mod tests {
             let mut c = AdaptiveController::new(
                 ControllerConfig {
                     monitor: harmony_monitor::collector::MonitorConfig {
-                        estimator: harmony_monitor::collector::EstimatorKind::Ewma(1.0),
+                        estimator: harmony_monitor::collector::EstimatorKind::SlidingWindow(1.0),
                         ..Default::default()
                     },
                     anti_entropy_repair_rate: rate,

@@ -16,6 +16,6 @@ pub mod config;
 pub mod controller;
 pub mod policy;
 
-pub use config::{ControllerConfig, PerKeySplitConfig};
+pub use config::ControllerConfig;
 pub use controller::{AdaptiveController, DecisionRecord, HotKeyDecision};
 pub use policy::{ConsistencyPolicy, HarmonyPolicy, PolicyContext, StaticPolicy};

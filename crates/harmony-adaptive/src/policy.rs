@@ -87,7 +87,6 @@ pub struct HarmonyPolicy {
     app_stale_rate: f64,
     model: StaleReadModel,
     last_estimate: f64,
-    last_decision: ConsistencyDecision,
 }
 
 impl HarmonyPolicy {
@@ -99,18 +98,12 @@ impl HarmonyPolicy {
             app_stale_rate: app_stale_rate.clamp(0.0, 1.0),
             model: StaleReadModel::new(replication_factor),
             last_estimate: 0.0,
-            last_decision: ConsistencyDecision::Eventual,
         }
     }
 
     /// The tolerated stale-read rate.
     pub fn app_stale_rate(&self) -> f64 {
         self.app_stale_rate
-    }
-
-    /// The most recent decision taken.
-    pub fn last_decision(&self) -> ConsistencyDecision {
-        self.last_decision
     }
 }
 
@@ -130,15 +123,13 @@ impl ConsistencyPolicy for HarmonyPolicy {
         // On a diverging queue the decision scheme escalates to all N
         // replicas (the propagation window is effectively unbounded) unless
         // the tolerance already covers the ceiling estimate.
-        let decision = decide_with_estimate(
+        match decide_with_estimate(
             &self.model,
             self.app_stale_rate,
             ctx.read_rate,
             ctx.write_rate,
             &ctx.staleness,
-        );
-        self.last_decision = decision;
-        match decision {
+        ) {
             ConsistencyDecision::Eventual => ConsistencyLevel::One,
             ConsistencyDecision::Replicas(x) => {
                 ConsistencyLevel::from_replica_count(x, ctx.replication_factor)

@@ -1,9 +1,5 @@
 //! Ablation studies for the design choices (`EXPERIMENTS.md`, "Ablations").
 //!
-//! * **Rate estimator** — sliding-window (the paper's periodic collection)
-//!   vs EWMA smoothing: how the choice affects staleness and latency.
-//! * **Monitoring period** — 0.25 s / 1 s / 4 s sweeps: a slower monitor
-//!   reacts later to load changes, letting more stale reads slip through.
 //! * **Read repair** — background read-repair probability 0 vs 0.1 vs 1.0:
 //!   repair traffic converges replicas faster (fewer stale reads) at the cost
 //!   of extra replica work.
@@ -12,12 +8,10 @@
 //!
 //! Usage: `cargo run --release -p harmony-bench --bin ablations [-- --quick]`
 
-use harmony_adaptive::config::ControllerConfig;
 use harmony_bench::experiments::{
     grid5000_experiment_config, run_point, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{has_flag, Table};
-use harmony_monitor::collector::EstimatorKind;
 
 fn scaled(quick: bool) -> ExperimentConfig {
     let mut config = grid5000_experiment_config();
@@ -58,42 +52,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_flag(&args, "--quick");
     let threads = 70;
-
-    // 1. Rate estimator.
-    println!("Ablation 1 — rate estimator feeding the model (Harmony-20%, {threads} threads)");
-    let mut table = Table::new(headers());
-    for (label, estimator) in [
-        (
-            "sliding-window 5s (paper-like)",
-            EstimatorKind::SlidingWindow(5.0),
-        ),
-        ("sliding-window 1s", EstimatorKind::SlidingWindow(1.0)),
-        ("ewma alpha=0.3", EstimatorKind::Ewma(0.3)),
-        ("ewma alpha=0.9", EstimatorKind::Ewma(0.9)),
-    ] {
-        let mut config = scaled(quick);
-        config.controller = ControllerConfig {
-            monitor: harmony_monitor::collector::MonitorConfig {
-                estimator,
-                ..Default::default()
-            },
-            ..ControllerConfig::default()
-        };
-        let result = run_point(&config, &PolicySpec::Harmony(0.2), threads, false);
-        row_from(&mut table, label, &result);
-    }
-    println!("{table}");
-
-    // 2. Monitoring period.
-    println!("Ablation 2 — monitoring period (Harmony-20%, {threads} threads)");
-    let mut table = Table::new(headers());
-    for period in [0.25, 1.0, 4.0] {
-        let mut config = scaled(quick);
-        config.controller.monitor.interval_secs = period;
-        let result = run_point(&config, &PolicySpec::Harmony(0.2), threads, false);
-        row_from(&mut table, &format!("period {period:.2} s"), &result);
-    }
-    println!("{table}");
 
     // 3. Background read repair.
     println!(

@@ -1,8 +1,8 @@
 //! Proactive (predicted-wait) control against the reactive baseline.
 //!
 //! Two step-response scenarios, each run twice with byte-identical inputs —
-//! once with the reactive figure controller and once with the same
-//! controller plus proactive control (`enable_proactive`), so every
+//! once with the reactive calibrated controller and once with the same
+//! controller plus proactive control (`ProactiveConfig::enabled()`), so every
 //! difference in the table is the prediction term and nothing else:
 //!
 //! * `load-step` — the thread count jumps mid-run (a workload phase change,
@@ -23,11 +23,10 @@
 //!   cargo run --release -p harmony-bench --bin proactive_sweep -- --quick
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2>`.
 
-use harmony_bench::experiments::{
-    config_by_name, enable_proactive, scaled_workload_a, ExperimentConfig, PolicySpec,
-};
+use harmony_bench::experiments::{config_by_name, scaled_workload_a, ExperimentConfig, PolicySpec};
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
+use harmony_model::queueing::ProactiveConfig;
 use harmony_sim::topology::NodeId;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Phase};
 use serde::Serialize;
@@ -72,7 +71,7 @@ fn run(
 ) -> ExperimentResult {
     let mut config = config.clone();
     if proactive {
-        config.controller = enable_proactive(config.controller);
+        config.controller.proactive = ProactiveConfig::enabled();
     }
     let policy = PolicySpec::Harmony(config.profile.harmony_settings[0]);
     let spec = ExperimentSpec {

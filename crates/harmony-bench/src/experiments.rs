@@ -7,10 +7,9 @@
 //! the replication factor (5), the thread-count sweep, the relative latency
 //! of the two platforms, and the tolerated-stale-read settings per platform.
 
-use harmony_adaptive::config::{ControllerConfig, PerKeySplitConfig};
+use harmony_adaptive::config::ControllerConfig;
 use harmony_adaptive::controller::AdaptiveController;
 use harmony_adaptive::policy::{ConsistencyPolicy, HarmonyPolicy, StaticPolicy};
-use harmony_model::queueing::ProactiveConfig;
 use harmony_sim::profiles::{self, ClusterProfile};
 use harmony_store::config::StoreConfig;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
@@ -119,93 +118,22 @@ impl ExperimentConfig {
     }
 }
 
-/// The controller configuration shared by the figure harness *and* the
-/// paper-claim integration tests (which exist to guard exactly what the
-/// figure binaries run): a monitoring sweep every 50 ms (so even the
-/// shortest runs span several adaptation periods), rates smoothed over a
-/// 250 ms window, and a differential propagation window — writes are
-/// acknowledged once the first replica has applied them, so the staleness
-/// window fed to the model is the *spread* of replica propagation times
-/// rather than the full one-way latency. The same calibration applies to the
-/// queueing model: only the differential fraction of the cross-replica
-/// queue-wait dispersion widens the window.
-pub fn figure_controller_config() -> ControllerConfig {
-    use harmony_model::queueing::QueueingModel;
-    use harmony_model::staleness::PropagationModel;
-    use harmony_monitor::collector::{EstimatorKind, MonitorConfig};
-    ControllerConfig {
-        monitor: MonitorConfig {
-            // The paper's monitor runs continuously over minutes-long runs;
-            // our scaled runs last a few virtual seconds, so the monitoring
-            // period is scaled down proportionally.
-            interval_secs: 0.05,
-            estimator: EstimatorKind::SlidingWindow(0.25),
-            ..MonitorConfig::default()
-        },
-        propagation: PropagationModel::differential(0.02, 0.005),
-        // The queueing analogue of the differential latency window: only a
-        // small calibrated fraction of the measured cross-replica backlog
-        // dispersion enters the staleness window (the conditional closed
-        // form overweights long windows at high access rates), and the
-        // divergence detector requires the backlog to outgrow 4x its own
-        // magnitude per second so stable saturation is not misread as a
-        // runaway queue.
-        queueing: QueueingModel {
-            divergence_growth: 4.0,
-            ..QueueingModel::differential(1e-4)
-        },
-        per_key: PerKeySplitConfig::default(),
-        proactive: ProactiveConfig::default(),
-        avg_write_size_bytes: 100.0,
-        // Repair-blind staleness model by default: sweeps arm this only in
-        // the self-healing comparisons.
-        anti_entropy_repair_rate: 0.0,
-    }
-}
-
-/// [`figure_controller_config`] with proactive (predicted-wait) control
-/// switched on: the configuration the `proactive_sweep` comparison and the
-/// proactive paper-claim tests run against the reactive baseline. Everything
-/// else is identical, so any divergence between the two controllers is the
-/// prediction term and nothing else.
-pub fn proactive_figure_controller_config() -> ControllerConfig {
-    enable_proactive(figure_controller_config())
-}
-
-/// Turns any controller configuration into its proactive counterpart:
-/// predicted-wait blending and predicted-divergence escalation on, every
-/// other knob untouched. The sweep binary and the step-response tests share
-/// this transformation so the published comparison and the locked-in claims
-/// move together.
-pub fn enable_proactive(mut config: ControllerConfig) -> ControllerConfig {
-    config.proactive = ProactiveConfig::enabled();
-    config
-}
-
-/// [`figure_controller_config`] with per-key split decisions enabled: the
-/// configuration of the *split* controller the `hotspot_split` sweep and the
-/// skewed-workload paper-claim tests compare against the global one. The
-/// per-key backlog feeds the key's staleness window at full weight — unlike
-/// the cross-replica dispersion (which the conditional closed form
-/// overweights, hence the tiny `spread_fraction` above), a key's own pending
-/// mutations translate one-for-one into staleness for reads of that key.
-/// The sketch is sized so the *whole* Zipfian head gets individual decisions
-/// with margin: 256 counters put the tracking noise floor at ~0.4% write
-/// share, so the head keys sit far above it and never flap out of the hot
-/// set, while the 0.3% hot threshold hands every reliably-tracked key its
-/// own level (keys that need only ONE simply get ONE — per-key decisions
-/// cannot over-protect).
-pub fn split_figure_controller_config() -> ControllerConfig {
-    enable_split(figure_controller_config())
-}
-
 /// Turns any controller configuration into its split counterpart: per-key
-/// decisions on, sketch sized as documented on
-/// [`split_figure_controller_config`]. The `hotspot_split` sweep and the
-/// paper-claim tests share this transformation, so tuning it here moves the
-/// published sweep table and the locked-in claims together.
+/// decisions on, and the heavy-hitter sketch sized so the *whole* Zipfian
+/// head gets individual decisions with margin. 256 counters put the tracking
+/// noise floor at ~0.4% write share, so the head keys sit far above it and
+/// never flap out of the hot set, while the 0.3% hot threshold hands every
+/// reliably-tracked key its own level (keys that need only ONE simply get
+/// ONE — per-key decisions cannot over-protect). Each hot key is decided from
+/// its own rates with its pending-mutation backlog at full weight: unlike the
+/// cross-replica dispersion (which the conditional closed form overweights,
+/// hence the tiny calibrated `spread_fraction`), a key's own pending
+/// mutations translate one-for-one into staleness for reads of that key.
+/// The `hotspot_split` sweep and the paper-claim tests share this
+/// transformation, so tuning it here moves the published sweep table and the
+/// locked-in claims together.
 pub fn enable_split(mut config: ControllerConfig) -> ControllerConfig {
-    config.per_key.enabled = true;
+    config.per_key_split = true;
     config.monitor.hot_key_capacity = 256;
     config.monitor.hot_key_min_share = 0.003;
     config
@@ -229,7 +157,7 @@ pub fn grid5000_experiment_config() -> ExperimentConfig {
     ExperimentConfig {
         profile,
         store,
-        controller: figure_controller_config(),
+        controller: ControllerConfig::calibrated(),
         records: 20_000,
         operations_per_thread: 1_500,
         min_operations: 30_000,
@@ -253,7 +181,7 @@ pub fn ec2_experiment_config() -> ExperimentConfig {
     ExperimentConfig {
         profile,
         store,
-        controller: figure_controller_config(),
+        controller: ControllerConfig::calibrated(),
         records: 20_000,
         operations_per_thread: 1_500,
         min_operations: 30_000,

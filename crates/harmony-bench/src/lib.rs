@@ -11,6 +11,11 @@
 //! with `--json <path>`, also writes a machine-readable copy used to update
 //! `EXPERIMENTS.md`.
 //!
+//! Every figure runs the one calibrated controller,
+//! `ControllerConfig::calibrated()` (see [`experiments`]). The split sweeps
+//! pass it through [`experiments::enable_split`]; the proactive sweep sets
+//! `controller.proactive = ProactiveConfig::enabled()`.
+//!
 //! Absolute numbers will not match the paper (its substrate was a physical
 //! Cassandra deployment on Grid'5000 and EC2; ours is a calibrated
 //! simulator) — the comparison targets are the *shapes*: which policy wins,

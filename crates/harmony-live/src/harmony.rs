@@ -346,8 +346,10 @@ mod tests {
 
     #[test]
     fn split_mode_escalates_hot_keys_in_the_live_path() {
-        let mut config = ControllerConfig::default();
-        config.per_key.enabled = true;
+        let mut config = ControllerConfig {
+            per_key_split: true,
+            ..ControllerConfig::default()
+        };
         // A small sketch so the warmup threshold is reached within the test.
         config.monitor.hot_key_capacity = 16;
         let h = LiveHarmony::new(live_cluster(), config, Box::new(HarmonyPolicy::new(3, 0.1)));

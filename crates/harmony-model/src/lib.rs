@@ -29,7 +29,7 @@
 //! ```
 //!
 //! This crate contains no simulation or storage code: it is pure,
-//! deterministic math plus the small rate estimators that turn monitored
+//! deterministic math plus the small rate estimator that turns monitored
 //! counters into `λr`/`λw`, so it can be embedded both in the simulator and
 //! in a real client-side controller.
 //!
@@ -60,9 +60,9 @@ pub mod rates;
 pub mod staleness;
 
 pub use decision::{decide, decide_with_estimate, ConsistencyDecision};
-pub use perkey::{KeyLoad, PerKeyModel};
+pub use perkey::KeyLoad;
 pub use queueing::{
     MG1Queue, ProactiveConfig, QueueingModel, StalenessEstimate, WriteStageObservation,
 };
-pub use rates::{EwmaRate, RateEstimate, SlidingWindowRate};
+pub use rates::{RateEstimate, SlidingWindowRate};
 pub use staleness::{PropagationModel, StaleReadModel};

@@ -22,7 +22,7 @@
 //! layer degrades gracefully on unskewed workloads and on backends without
 //! per-key telemetry.
 
-use crate::queueing::StalenessEstimate;
+use crate::queueing::{StalenessEstimate, SPREAD_SHAPE};
 use crate::staleness::StaleReadModel;
 use serde::{Deserialize, Serialize};
 
@@ -37,102 +37,59 @@ pub struct KeyLoad {
     pub backlog_ms: f64,
 }
 
-/// Configuration of the per-key staleness specialisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PerKeyModel {
-    /// Fraction of the key's pending-mutation backlog entering the key's
-    /// staleness window (`[0, 1]`; the per-key analogue of the propagation
-    /// model's `latency_fraction` calibration knob).
-    pub backlog_fraction: f64,
-    /// Gamma shape used for the key's queue-wait spread when the global
-    /// estimate carries no spread of its own to inherit a shape from.
-    pub spread_shape: f64,
-}
-
-impl Default for PerKeyModel {
-    fn default() -> Self {
-        PerKeyModel {
-            backlog_fraction: 1.0,
-            spread_shape: 2.0,
-        }
+/// Specialises the global propagation-time distribution for one key: the
+/// key's backlog widens the queue-wait spread; everything else (network
+/// component, utilisation, divergence flag) is inherited. A key's pending
+/// mutations translate one-for-one into staleness for reads of that key, so
+/// the whole backlog counts. With a zero backlog the result is exactly the
+/// global estimate.
+pub fn specialise(global: &StalenessEstimate, load: &KeyLoad) -> StalenessEstimate {
+    let extra_secs = load.backlog_ms.max(0.0) / 1e3;
+    if extra_secs <= 0.0 {
+        return *global;
+    }
+    let mean = global.spread_mean_secs.max(0.0) + extra_secs;
+    // Keep the global spread's Gamma shape if it has one; otherwise use the
+    // model's default shape (the mean-to-variance relation of a Gamma is
+    // `Var = mean² / shape`).
+    let shape = if global.spread_mean_secs > 0.0 && global.spread_variance_secs2 > 0.0 {
+        global.spread_mean_secs * global.spread_mean_secs / global.spread_variance_secs2
+    } else {
+        SPREAD_SHAPE
+    };
+    StalenessEstimate {
+        spread_mean_secs: mean,
+        spread_variance_secs2: mean * mean / shape.max(1e-12),
+        ..*global
     }
 }
 
-impl PerKeyModel {
-    /// A model feeding only `backlog_fraction` of the per-key backlog into
-    /// the window (the analogue of `PropagationModel::differential`).
-    pub fn differential(backlog_fraction: f64) -> Self {
-        PerKeyModel {
-            backlog_fraction: backlog_fraction.clamp(0.0, 1.0),
-            ..PerKeyModel::default()
-        }
-    }
+/// The key's stale-read probability: the queueing-aware closed form with the
+/// key's own rates over the key's specialised `Tp` distribution.
+pub fn stale_probability(
+    model: &StaleReadModel,
+    global: &StalenessEstimate,
+    load: &KeyLoad,
+) -> f64 {
+    let est = specialise(global, load);
+    model.stale_probability_estimate(load.read_rate.max(0.0), load.write_rate.max(0.0), &est)
+}
 
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.backlog_fraction) {
-            return Err("backlog_fraction must be within [0, 1]".into());
-        }
-        if self.spread_shape <= 0.0 {
-            return Err("spread_shape must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Specialises the global propagation-time distribution for one key: the
-    /// key's backlog widens the queue-wait spread; everything else (network
-    /// component, utilisation, divergence flag) is inherited. With a zero
-    /// backlog contribution the result is exactly the global estimate.
-    pub fn specialise(&self, global: &StalenessEstimate, load: &KeyLoad) -> StalenessEstimate {
-        let extra_secs = self.backlog_fraction.clamp(0.0, 1.0) * load.backlog_ms.max(0.0) / 1e3;
-        if extra_secs <= 0.0 {
-            return *global;
-        }
-        let mean = global.spread_mean_secs.max(0.0) + extra_secs;
-        // Keep the global spread's Gamma shape if it has one; otherwise use
-        // the configured default (the mean-to-variance relation of a Gamma is
-        // `Var = mean² / shape`).
-        let shape = if global.spread_mean_secs > 0.0 && global.spread_variance_secs2 > 0.0 {
-            global.spread_mean_secs * global.spread_mean_secs / global.spread_variance_secs2
-        } else {
-            self.spread_shape
-        };
-        StalenessEstimate {
-            spread_mean_secs: mean,
-            spread_variance_secs2: mean * mean / shape.max(1e-12),
-            ..*global
-        }
-    }
-
-    /// The key's stale-read probability: the queueing-aware closed form with
-    /// the key's own rates over the key's specialised `Tp` distribution.
-    pub fn stale_probability(
-        &self,
-        model: &StaleReadModel,
-        global: &StalenessEstimate,
-        load: &KeyLoad,
-    ) -> f64 {
-        let est = self.specialise(global, load);
-        model.stale_probability_estimate(load.read_rate.max(0.0), load.write_rate.max(0.0), &est)
-    }
-
-    /// The minimal replica count keeping the key's stale-read estimate within
-    /// `app_stale_rate` (the per-key counterpart of paper Eq. 8).
-    pub fn required_replicas(
-        &self,
-        model: &StaleReadModel,
-        app_stale_rate: f64,
-        global: &StalenessEstimate,
-        load: &KeyLoad,
-    ) -> usize {
-        let est = self.specialise(global, load);
-        model.required_replicas_estimate(
-            app_stale_rate,
-            load.read_rate.max(0.0),
-            load.write_rate.max(0.0),
-            &est,
-        )
-    }
+/// The minimal replica count keeping the key's stale-read estimate within
+/// `app_stale_rate` (the per-key counterpart of paper Eq. 8).
+pub fn required_replicas(
+    model: &StaleReadModel,
+    app_stale_rate: f64,
+    global: &StalenessEstimate,
+    load: &KeyLoad,
+) -> usize {
+    let est = specialise(global, load);
+    model.required_replicas_estimate(
+        app_stale_rate,
+        load.read_rate.max(0.0),
+        load.write_rate.max(0.0),
+        &est,
+    )
 }
 
 #[cfg(test)]
@@ -152,44 +109,24 @@ mod tests {
     }
 
     #[test]
-    fn default_is_valid_and_clamped() {
-        assert!(PerKeyModel::default().validate().is_ok());
-        assert_eq!(PerKeyModel::differential(3.0).backlog_fraction, 1.0);
-        assert!(PerKeyModel {
-            backlog_fraction: -0.1,
-            ..PerKeyModel::default()
-        }
-        .validate()
-        .is_err());
-        assert!(PerKeyModel {
-            spread_shape: 0.0,
-            ..PerKeyModel::default()
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
     fn zero_backlog_specialisation_is_the_global_estimate() {
-        let m = PerKeyModel::default();
         let g = global();
         let load = KeyLoad {
             read_rate: 120.0,
             write_rate: 80.0,
             backlog_ms: 0.0,
         };
-        assert_eq!(m.specialise(&g, &load), g);
+        assert_eq!(specialise(&g, &load), g);
         // And the probability at equal rates is exactly the global model's.
         let model = StaleReadModel::new(5);
         assert_eq!(
-            m.stale_probability(&model, &g, &load),
+            stale_probability(&model, &g, &load),
             model.stale_probability_estimate(120.0, 80.0, &g)
         );
     }
 
     #[test]
     fn backlog_widens_the_window_monotonically() {
-        let m = PerKeyModel::default();
         let model = StaleReadModel::new(5);
         let g = global();
         let mut prev = -1.0;
@@ -199,7 +136,7 @@ mod tests {
                 write_rate: 300.0,
                 backlog_ms: backlog,
             };
-            let p = m.stale_probability(&model, &g, &load);
+            let p = stale_probability(&model, &g, &load);
             assert!(p >= prev, "backlog={backlog} p={p} prev={prev}");
             prev = p;
         }
@@ -208,7 +145,6 @@ mod tests {
 
     #[test]
     fn hotter_keys_need_more_replicas() {
-        let m = PerKeyModel::default();
         let model = StaleReadModel::new(5);
         let g = global();
         let cold = KeyLoad {
@@ -221,26 +157,10 @@ mod tests {
             write_rate: 700.0,
             backlog_ms: 8.0,
         };
-        let x_cold = m.required_replicas(&model, 0.2, &g, &cold);
-        let x_hot = m.required_replicas(&model, 0.2, &g, &hot);
+        let x_cold = required_replicas(&model, 0.2, &g, &cold);
+        let x_hot = required_replicas(&model, 0.2, &g, &hot);
         assert!(x_hot > x_cold, "hot={x_hot} cold={x_cold}");
         assert!(x_hot > 1);
-    }
-
-    #[test]
-    fn backlog_fraction_scales_the_contribution() {
-        let g = global();
-        let load = KeyLoad {
-            read_rate: 300.0,
-            write_rate: 250.0,
-            backlog_ms: 20.0,
-        };
-        let full = PerKeyModel::default().specialise(&g, &load);
-        let tenth = PerKeyModel::differential(0.1).specialise(&g, &load);
-        let none = PerKeyModel::differential(0.0).specialise(&g, &load);
-        assert!(full.spread_mean_secs > tenth.spread_mean_secs);
-        assert!(tenth.spread_mean_secs > none.spread_mean_secs);
-        assert_eq!(none, g);
     }
 
     #[test]
@@ -251,22 +171,18 @@ mod tests {
             write_rate: 100.0,
             backlog_ms: 5.0,
         };
-        let est = PerKeyModel::default().specialise(&g, &load);
+        let est = specialise(&g, &load);
         let shape = est.spread_mean_secs * est.spread_mean_secs / est.spread_variance_secs2;
         assert!((shape - 2.0).abs() < 1e-9, "shape = {shape}");
-        // Without a global spread, the configured default shape applies.
+        // Without a global spread, the model's default shape applies.
         let flat = StalenessEstimate {
             spread_mean_secs: 0.0,
             spread_variance_secs2: 0.0,
             ..g
         };
-        let est = PerKeyModel {
-            spread_shape: 4.0,
-            ..PerKeyModel::default()
-        }
-        .specialise(&flat, &load);
+        let est = specialise(&flat, &load);
         let shape = est.spread_mean_secs * est.spread_mean_secs / est.spread_variance_secs2;
-        assert!((shape - 4.0).abs() < 1e-9, "shape = {shape}");
+        assert!((shape - SPREAD_SHAPE).abs() < 1e-9, "shape = {shape}");
     }
 
     #[test]
@@ -280,16 +196,14 @@ mod tests {
             write_rate: 100.0,
             backlog_ms: 3.0,
         };
-        let m = PerKeyModel::default();
-        assert!(m.specialise(&g, &load).diverging);
+        assert!(specialise(&g, &load).diverging);
         // A diverging queue forces all replicas for a strict tolerance.
         let model = StaleReadModel::new(5);
-        assert_eq!(m.required_replicas(&model, 0.0, &g, &load), 5);
+        assert_eq!(required_replicas(&model, 0.0, &g, &load), 5);
     }
 
     #[test]
     fn negative_inputs_are_clamped() {
-        let m = PerKeyModel::default();
         let model = StaleReadModel::new(5);
         let g = global();
         let load = KeyLoad {
@@ -297,7 +211,7 @@ mod tests {
             write_rate: -3.0,
             backlog_ms: -10.0,
         };
-        assert_eq!(m.stale_probability(&model, &g, &load), 0.0);
-        assert_eq!(m.required_replicas(&model, 0.5, &g, &load), 1);
+        assert_eq!(stale_probability(&model, &g, &load), 0.0);
+        assert_eq!(required_replicas(&model, 0.5, &g, &load), 1);
     }
 }

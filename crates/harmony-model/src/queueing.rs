@@ -144,6 +144,25 @@ impl MG1Queue {
             cap
         }
     }
+
+    /// Confidence `[0, 1]` of the M/G/1 prediction for this queue fit.
+    ///
+    /// Zero when the telemetry is sparse (no arrivals or no measured service
+    /// time), when the fit is below a utilization of 0.3, or at ρ ≥ 1 —
+    /// there the P-K formulas no longer describe a steady state, so the
+    /// magnitude discounts fully toward the reactive estimate (the
+    /// *divergence flag* still fires; only the blended spread falls back).
+    /// In between the confidence ramps linearly from 0.3 to 1.
+    pub fn prediction_confidence(&self) -> f64 {
+        if self.arrival_rate <= 0.0 || self.service_mean_secs <= 0.0 {
+            return 0.0;
+        }
+        let rho = self.utilization();
+        if rho >= 1.0 {
+            return 0.0;
+        }
+        ((rho - PREDICTION_MIN_UTILIZATION) / (1.0 - PREDICTION_MIN_UTILIZATION)).clamp(0.0, 1.0)
+    }
 }
 
 /// One monitoring sweep's view of the write stage, aggregated over replicas.
@@ -179,81 +198,44 @@ pub struct WriteStageObservation {
     pub predicted_wait_trend_ms_per_s: f64,
 }
 
-/// Configuration of the proactive (predicted-wait) control path.
+/// Weight of the predicted wait dispersion in the blended spread once the
+/// prediction is fully confident. The effective weight is this value scaled
+/// by [`MG1Queue::prediction_confidence`], so the blend always discounts
+/// toward the measured (reactive) dispersion when telemetry is thin.
+const PREDICTION_WEIGHT: f64 = 0.5;
+
+/// Utilization below which the prediction carries zero confidence: an
+/// almost-idle M/G/1 fit says nothing the measured dispersion doesn't.
+const PREDICTION_MIN_UTILIZATION: f64 = 0.3;
+
+/// Saturation cap (seconds) for the predicted wait moments — the
+/// propagation-window worst case. Caps the P-K wait near ρ = 1 and replaces
+/// the infinite wait at ρ ≥ 1 (see [`MG1Queue::mean_wait_secs_saturating`]).
+const PREDICTION_HORIZON_SECS: f64 = 1.0;
+
+/// Gamma shape of the queue-wait spread distribution `D`: the
+/// mean-to-variance relation is `Var[D] = E[D]² / shape`.
+pub(crate) const SPREAD_SHAPE: f64 = 2.0;
+
+/// Utilization above which a sustained backlog growth is interpreted as a
+/// diverging queue.
+const DIVERGENCE_UTILIZATION: f64 = 0.9;
+
+/// The proactive (predicted-wait) control switch.
 ///
 /// Disabled by default; with `enabled = false` every estimate is bit-for-bit
 /// identical to the reactive model — the proactive terms are never even
 /// computed, so no `0·∞` arithmetic can leak a NaN into the reactive path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProactiveConfig {
     /// Master switch. Off ⇒ the reactive estimate, byte-identically.
     pub enabled: bool,
-    /// Weight `[0, 1]` of the predicted wait dispersion in the blended spread
-    /// once the prediction is fully confident. The effective weight is this
-    /// value scaled by the confidence ramp, so the blend always discounts
-    /// toward the measured (reactive) dispersion when telemetry is thin.
-    pub prediction_weight: f64,
-    /// Utilization below which the prediction carries zero confidence: an
-    /// almost-idle M/G/1 fit says nothing the measured dispersion doesn't.
-    pub min_utilization: f64,
-    /// Saturation cap (seconds) for the predicted wait moments — the
-    /// propagation-window worst case. Caps the P-K wait near ρ = 1 and
-    /// replaces the infinite wait at ρ ≥ 1 (see
-    /// [`MG1Queue::mean_wait_secs_saturating`]).
-    pub horizon_secs: f64,
-}
-
-impl Default for ProactiveConfig {
-    fn default() -> Self {
-        ProactiveConfig {
-            enabled: false,
-            prediction_weight: 0.5,
-            min_utilization: 0.3,
-            horizon_secs: 1.0,
-        }
-    }
 }
 
 impl ProactiveConfig {
-    /// The default knobs with the master switch on.
+    /// Proactive control switched on.
     pub fn enabled() -> Self {
-        ProactiveConfig {
-            enabled: true,
-            ..ProactiveConfig::default()
-        }
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.prediction_weight) {
-            return Err("prediction_weight must be within [0, 1]".into());
-        }
-        if !(0.0..1.0).contains(&self.min_utilization) {
-            return Err("min_utilization must be within [0, 1)".into());
-        }
-        if self.horizon_secs <= 0.0 {
-            return Err("horizon_secs must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Confidence `[0, 1]` of the M/G/1 prediction for the given queue fit.
-    ///
-    /// Zero when the telemetry is sparse (no arrivals or no measured service
-    /// time), when the fit is below `min_utilization`, or at ρ ≥ 1 — there
-    /// the P-K formulas no longer describe a steady state, so the magnitude
-    /// discounts fully toward the reactive estimate (the *divergence flag*
-    /// still fires; only the blended spread falls back). In between the
-    /// confidence ramps linearly from `min_utilization` to 1.
-    pub fn confidence(&self, queue: &MG1Queue) -> f64 {
-        if queue.arrival_rate <= 0.0 || queue.service_mean_secs <= 0.0 {
-            return 0.0;
-        }
-        let rho = queue.utilization();
-        if rho >= 1.0 {
-            return 0.0;
-        }
-        ((rho - self.min_utilization) / (1.0 - self.min_utilization)).clamp(0.0, 1.0)
+        ProactiveConfig { enabled: true }
     }
 }
 
@@ -271,13 +253,6 @@ pub struct QueueingModel {
     /// Fraction of the measured queue-wait dispersion entering the staleness
     /// window (calibration knob, `[0, 1]`).
     pub spread_fraction: f64,
-    /// Gamma shape of the spread distribution `D`. Smaller values model a
-    /// heavier-tailed spread; the mean-to-variance relation is
-    /// `Var[D] = E[D]² / shape`.
-    pub spread_shape: f64,
-    /// Utilization above which a sustained backlog growth is interpreted as a
-    /// diverging queue.
-    pub divergence_utilization: f64,
     /// Relative backlog growth per second (fraction of the current backlog,
     /// floored by one service time) above which the queue counts as diverging
     /// when utilization is also high.
@@ -288,8 +263,6 @@ impl Default for QueueingModel {
     fn default() -> Self {
         QueueingModel {
             spread_fraction: 1.0,
-            spread_shape: 2.0,
-            divergence_utilization: 0.9,
             divergence_growth: 1.0,
         }
     }
@@ -310,12 +283,6 @@ impl QueueingModel {
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.spread_fraction) {
             return Err("spread_fraction must be within [0, 1]".into());
-        }
-        if self.spread_shape <= 0.0 {
-            return Err("spread_shape must be positive".into());
-        }
-        if self.divergence_utilization < 0.0 {
-            return Err("divergence_utilization must be non-negative".into());
         }
         if self.divergence_growth <= 0.0 {
             return Err("divergence_growth must be positive".into());
@@ -404,9 +371,9 @@ impl QueueingModel {
         let mut spread_sigma = sigma_s;
         let mut predicted_diverging = false;
         if proactive.enabled {
-            let weight = proactive.prediction_weight.clamp(0.0, 1.0) * proactive.confidence(&queue);
+            let weight = PREDICTION_WEIGHT * queue.prediction_confidence();
             if weight > 0.0 {
-                let sigma_pred = queue.wait_std_secs_saturating(proactive.horizon_secs);
+                let sigma_pred = queue.wait_std_secs_saturating(PREDICTION_HORIZON_SECS);
                 let drain_floor = obs.predicted_wait_ms.max(service_mean_ms).max(1e-9);
                 let draining =
                     obs.predicted_wait_trend_ms_per_s < -self.divergence_growth * drain_floor;
@@ -421,7 +388,7 @@ impl QueueingModel {
             // backlog trend can.
             if utilization >= 1.0 {
                 predicted_diverging = true;
-            } else if utilization >= self.divergence_utilization {
+            } else if utilization >= DIVERGENCE_UTILIZATION {
                 let predicted_floor = obs.predicted_wait_ms.max(service_mean_ms).max(1e-9);
                 predicted_diverging =
                     obs.predicted_wait_trend_ms_per_s > self.divergence_growth * predicted_floor;
@@ -430,15 +397,14 @@ impl QueueingModel {
 
         let kappa = Self::range_coefficient(replication_factor.max(1));
         let spread_mean_secs = self.spread_fraction.clamp(0.0, 1.0) * kappa * spread_sigma;
-        let spread_variance_secs2 = spread_mean_secs * spread_mean_secs / self.spread_shape;
+        let spread_variance_secs2 = spread_mean_secs * spread_mean_secs / SPREAD_SHAPE;
 
         // Divergence: high utilization plus a backlog growing faster than
         // `divergence_growth` times its own magnitude per second (floored by
         // one service time so an empty queue ramping up still registers).
         let growth_floor = obs.backlog_mean_ms.max(service_mean_ms).max(1e-9);
         let growing = obs.backlog_trend_ms_per_s > self.divergence_growth * growth_floor;
-        let diverging =
-            (utilization >= self.divergence_utilization && growing) || predicted_diverging;
+        let diverging = (utilization >= DIVERGENCE_UTILIZATION && growing) || predicted_diverging;
 
         StalenessEstimate {
             tp_network_secs: tp_network_secs.max(0.0),
@@ -692,11 +658,6 @@ mod tests {
         };
         assert!(q.validate().is_err());
         let q = QueueingModel {
-            spread_shape: 0.0,
-            ..QueueingModel::default()
-        };
-        assert!(q.validate().is_err());
-        let q = QueueingModel {
             divergence_growth: 0.0,
             ..QueueingModel::default()
         };
@@ -867,52 +828,26 @@ mod tests {
     }
 
     #[test]
-    fn proactive_config_validation() {
-        assert!(ProactiveConfig::default().validate().is_ok());
-        assert!(ProactiveConfig::enabled().validate().is_ok());
-        assert!(ProactiveConfig::enabled().enabled);
-        let bad = ProactiveConfig {
-            prediction_weight: 1.5,
-            ..ProactiveConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ProactiveConfig {
-            min_utilization: 1.0,
-            ..ProactiveConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ProactiveConfig {
-            horizon_secs: 0.0,
-            ..ProactiveConfig::default()
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn prediction_confidence_ramps_and_discounts() {
-        let p = ProactiveConfig::enabled();
+        let confidence =
+            |arrivals, service| MG1Queue::new(arrivals, service, 1.0).prediction_confidence();
         // Sparse telemetry ⇒ zero confidence.
-        assert_eq!(p.confidence(&MG1Queue::new(0.0, 0.001, 1.0)), 0.0);
-        assert_eq!(p.confidence(&MG1Queue::new(100.0, 0.0, 1.0)), 0.0);
-        // Below min_utilization ⇒ zero; above ⇒ ramps toward 1.
-        assert_eq!(p.confidence(&MG1Queue::new(100.0, 0.001, 1.0)), 0.0); // ρ=0.1
-        let mid = p.confidence(&MG1Queue::new(650.0, 0.001, 1.0)); // ρ=0.65
-        let high = p.confidence(&MG1Queue::new(950.0, 0.001, 1.0)); // ρ=0.95
+        assert_eq!(confidence(0.0, 0.001), 0.0);
+        assert_eq!(confidence(100.0, 0.0), 0.0);
+        // Below ρ = 0.3 ⇒ zero; above ⇒ ramps toward 1.
+        assert_eq!(confidence(100.0, 0.001), 0.0); // ρ=0.1
+        let mid = confidence(650.0, 0.001); // ρ=0.65
+        let high = confidence(950.0, 0.001); // ρ=0.95
         assert!(mid > 0.0 && mid < high && high < 1.0);
         // At and beyond saturation the magnitude discounts fully.
-        assert_eq!(p.confidence(&MG1Queue::new(1000.0, 0.001, 1.0)), 0.0);
-        assert_eq!(p.confidence(&MG1Queue::new(5000.0, 0.001, 1.0)), 0.0);
+        assert_eq!(confidence(1000.0, 0.001), 0.0);
+        assert_eq!(confidence(5000.0, 0.001), 0.0);
     }
 
     #[test]
     fn disabled_proactive_estimate_is_bit_identical_to_reactive() {
         let model = QueueingModel::differential(0.02);
-        let disabled = ProactiveConfig {
-            enabled: false,
-            prediction_weight: 0.9, // tuned knobs must be inert when disabled
-            min_utilization: 0.0,
-            horizon_secs: 10.0,
-        };
+        let disabled = ProactiveConfig::default();
         for arrivals in [0.0, 100.0, 900.0, 980.0, 1200.0] {
             let obs = WriteStageObservation {
                 arrival_rate_per_replica: arrivals,
@@ -950,7 +885,7 @@ mod tests {
         assert_eq!(reactive.spread_mean_secs, 0.0);
         assert!(proactive.spread_mean_secs > 0.0);
         assert!(proactive.spread_mean_secs.is_finite());
-        // And as the fit drains (ρ drops below min_utilization), the
+        // And as the fit drains (ρ drops below 0.3), the
         // proactive window relaxes back to the reactive one immediately.
         let drained = WriteStageObservation {
             arrival_rate_per_replica: 100.0,

@@ -3,13 +3,10 @@
 //! The paper's monitoring module periodically reads cumulative read/write
 //! counters from every node ("Cassandra Nodetool") and converts the deltas to
 //! rates, explicitly accounting for the time the monitoring sweep itself took
-//! (§V.A). Two estimators are provided:
-//!
-//! * [`SlidingWindowRate`] — rates over the last `window` seconds of samples,
-//!   the behaviour closest to the paper's periodic collection;
-//! * [`EwmaRate`] — an exponentially weighted moving average, which smooths
-//!   bursty workloads at the cost of reacting more slowly to phase changes
-//!   (compared against the sliding window by the `ablations` bin).
+//! (§V.A). [`SlidingWindowRate`] keeps the rates over the last `window`
+//! seconds of samples, the behaviour closest to the paper's periodic
+//! collection. A window no longer than the sweep interval keeps exactly the
+//! latest sample.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -33,18 +30,6 @@ impl RateEstimate {
     pub fn is_active(&self) -> bool {
         self.reads_per_sec > 0.0 || self.writes_per_sec > 0.0
     }
-}
-
-/// A rate estimator; implementations consume `(elapsed, reads, writes)`
-/// deltas and produce a [`RateEstimate`].
-pub trait RateEstimator {
-    /// Records that `reads` read operations and `writes` write operations
-    /// were counted over the last `elapsed_secs` seconds.
-    fn observe(&mut self, elapsed_secs: f64, reads: u64, writes: u64);
-    /// The current estimate.
-    fn estimate(&self) -> RateEstimate;
-    /// Forgets all history.
-    fn reset(&mut self);
 }
 
 /// Rates computed over a sliding window of recent samples.
@@ -98,10 +83,10 @@ impl SlidingWindowRate {
             }
         }
     }
-}
 
-impl RateEstimator for SlidingWindowRate {
-    fn observe(&mut self, elapsed_secs: f64, reads: u64, writes: u64) {
+    /// Records that `reads` read operations and `writes` write operations
+    /// were counted over the last `elapsed_secs` seconds.
+    pub fn observe(&mut self, elapsed_secs: f64, reads: u64, writes: u64) {
         if elapsed_secs <= 0.0 {
             return;
         }
@@ -112,7 +97,8 @@ impl RateEstimator for SlidingWindowRate {
         self.evict();
     }
 
-    fn estimate(&self) -> RateEstimate {
+    /// The current estimate.
+    pub fn estimate(&self) -> RateEstimate {
         if self.total_elapsed <= 0.0 {
             return RateEstimate::idle();
         }
@@ -122,67 +108,12 @@ impl RateEstimator for SlidingWindowRate {
         }
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history.
+    pub fn reset(&mut self) {
         self.samples.clear();
         self.total_elapsed = 0.0;
         self.total_reads = 0;
         self.total_writes = 0;
-    }
-}
-
-/// Exponentially weighted moving-average rates.
-#[derive(Debug, Clone)]
-pub struct EwmaRate {
-    alpha: f64,
-    current: Option<RateEstimate>,
-}
-
-impl EwmaRate {
-    /// Creates an EWMA estimator with smoothing factor `alpha` in `(0, 1]`.
-    /// `alpha = 1` degenerates to "use only the latest sample".
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        EwmaRate {
-            alpha,
-            current: None,
-        }
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
-
-impl RateEstimator for EwmaRate {
-    fn observe(&mut self, elapsed_secs: f64, reads: u64, writes: u64) {
-        if elapsed_secs <= 0.0 {
-            return;
-        }
-        let sample = RateEstimate {
-            reads_per_sec: reads as f64 / elapsed_secs,
-            writes_per_sec: writes as f64 / elapsed_secs,
-        };
-        self.current = Some(match self.current {
-            None => sample,
-            Some(prev) => RateEstimate {
-                reads_per_sec: self.alpha * sample.reads_per_sec
-                    + (1.0 - self.alpha) * prev.reads_per_sec,
-                writes_per_sec: self.alpha * sample.writes_per_sec
-                    + (1.0 - self.alpha) * prev.writes_per_sec,
-            },
-        });
-    }
-
-    fn estimate(&self) -> RateEstimate {
-        self.current.unwrap_or_default()
-    }
-
-    fn reset(&mut self) {
-        self.current = None;
     }
 }
 
@@ -205,12 +136,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
         SlidingWindowRate::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn bad_alpha_panics() {
-        EwmaRate::new(1.5);
     }
 
     #[test]
@@ -264,51 +189,19 @@ mod tests {
     }
 
     #[test]
-    fn ewma_first_sample_is_taken_verbatim() {
-        let mut est = EwmaRate::new(0.3);
-        est.observe(2.0, 200, 100);
-        let e = est.estimate();
-        assert!((e.reads_per_sec - 100.0).abs() < 1e-9);
-        assert!((e.writes_per_sec - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_smooths_towards_new_samples() {
-        let mut est = EwmaRate::new(0.5);
-        est.observe(1.0, 100, 0);
-        est.observe(1.0, 300, 0);
-        let e = est.estimate();
-        assert!((e.reads_per_sec - 200.0).abs() < 1e-9);
-        // Converges towards a sustained new level.
-        for _ in 0..32 {
-            est.observe(1.0, 300, 0);
-        }
-        assert!((est.estimate().reads_per_sec - 300.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_latest() {
-        let mut est = EwmaRate::new(1.0);
+    fn short_window_tracks_latest() {
+        // A window no longer than one sample keeps exactly the latest one.
+        let mut est = SlidingWindowRate::new(1.0);
         est.observe(1.0, 100, 10);
         est.observe(1.0, 700, 70);
         let e = est.estimate();
         assert!((e.reads_per_sec - 700.0).abs() < 1e-9);
         assert!((e.writes_per_sec - 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_reset_and_degenerate_input() {
-        let mut est = EwmaRate::new(0.5);
-        est.observe(0.0, 100, 100);
-        assert_eq!(est.estimate(), RateEstimate::idle());
-        est.observe(1.0, 10, 10);
-        est.reset();
-        assert_eq!(est.estimate(), RateEstimate::idle());
+        assert_eq!(est.len(), 1);
     }
 
     #[test]
     fn window_accessor() {
         assert_eq!(SlidingWindowRate::new(7.5).window_secs(), 7.5);
-        assert_eq!(EwmaRate::new(0.25).alpha(), 0.25);
     }
 }

@@ -257,16 +257,10 @@ proptest! {
         trend in -1e4f64..1e4,
         predicted_ms in 0.0f64..5e3,
         predicted_trend in -1e4f64..1e4,
-        weight in 0.0f64..1.0,
     ) {
         let m = StaleReadModel::new(n);
         let model = QueueingModel::default();
-        let proactive = ProactiveConfig {
-            enabled: true,
-            prediction_weight: weight,
-            min_utilization: 0.3,
-            horizon_secs: 5.0,
-        };
+        let proactive = ProactiveConfig::enabled();
         let mut obs = observation(arrival, service_ms, scv, backlog_ms, variance_ms2, trend);
         obs.predicted_wait_ms = predicted_ms;
         obs.predicted_wait_trend_ms_per_s = predicted_trend;

@@ -9,18 +9,16 @@
 use crate::heavy_hitters::HotKeyTracker;
 use crate::probe::ClusterProbe;
 use harmony_model::queueing::MG1Queue;
-use harmony_model::rates::{EwmaRate, RateEstimate, RateEstimator, SlidingWindowRate};
+use harmony_model::rates::SlidingWindowRate;
 use harmony_sim::clock::SimTime;
 use harmony_store::keys::KeyId;
 use serde::{Deserialize, Serialize};
 
-/// Which rate estimator the monitor feeds its counter deltas into.
+/// The rate estimator the monitor feeds its counter deltas into.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EstimatorKind {
     /// Rates over a sliding window of the given length in seconds.
     SlidingWindow(f64),
-    /// Exponentially weighted moving average with the given smoothing factor.
-    Ewma(f64),
 }
 
 /// Monitor configuration.
@@ -55,6 +53,27 @@ impl Default for MonitorConfig {
             hot_key_capacity: 64,
             hot_key_min_share: 0.02,
         }
+    }
+}
+
+impl MonitorConfig {
+    /// Validates the configuration.
+    pub fn validate(&self) -> Result<(), String> {
+        // The runner re-arms its monitoring tick every `interval`: an
+        // interval that rounds to zero virtual nanoseconds (or is not a
+        // number at all) would tick forever at one instant.
+        let interval = self.interval_secs;
+        if !interval.is_finite() || SimTime::from_secs_f64(interval) <= SimTime::ZERO {
+            return Err("monitor interval must be finite and at least one nanosecond".into());
+        }
+        let EstimatorKind::SlidingWindow(window) = self.estimator;
+        if !(window.is_finite() && window > 0.0) {
+            return Err("rate estimator window must be finite and positive".into());
+        }
+        if !(0.0..=1.0).contains(&self.hot_key_min_share) {
+            return Err("hot-key minimum share must be within [0, 1]".into());
+        }
+        Ok(())
     }
 }
 
@@ -125,33 +144,13 @@ pub struct HotKeyStat {
     pub guaranteed_count: u64,
 }
 
-enum Estimator {
-    Window(SlidingWindowRate),
-    Ewma(EwmaRate),
-}
-
-impl Estimator {
-    fn observe(&mut self, elapsed: f64, reads: u64, writes: u64) {
-        match self {
-            Estimator::Window(w) => w.observe(elapsed, reads, writes),
-            Estimator::Ewma(e) => e.observe(elapsed, reads, writes),
-        }
-    }
-    fn estimate(&self) -> RateEstimate {
-        match self {
-            Estimator::Window(w) => w.estimate(),
-            Estimator::Ewma(e) => e.estimate(),
-        }
-    }
-}
-
 /// The periodic monitoring module.
 pub struct Monitor {
     config: MonitorConfig,
-    estimator: Estimator,
+    estimator: SlidingWindowRate,
     /// Smooths the replica-write (mutation-stage) arrival counts the same way
     /// client rates are smoothed; writes side unused.
-    arrival_estimator: Estimator,
+    arrival_estimator: SlidingWindowRate,
     last_sweep_at: Option<SimTime>,
     last_reads: u64,
     last_writes: u64,
@@ -204,20 +203,17 @@ impl Monitor {
     /// Creates a monitor.
     ///
     /// # Panics
-    /// Panics if the interval is not strictly positive or the estimator
-    /// parameters are invalid.
+    /// Panics if the interval or the estimator window is not strictly
+    /// positive.
     pub fn new(config: MonitorConfig) -> Self {
         assert!(
             config.interval_secs > 0.0,
             "monitoring interval must be positive"
         );
-        let build = |kind: EstimatorKind| match kind {
-            EstimatorKind::SlidingWindow(secs) => Estimator::Window(SlidingWindowRate::new(secs)),
-            EstimatorKind::Ewma(alpha) => Estimator::Ewma(EwmaRate::new(alpha)),
-        };
+        let EstimatorKind::SlidingWindow(window) = config.estimator;
         Monitor {
-            estimator: build(config.estimator),
-            arrival_estimator: build(config.estimator),
+            estimator: SlidingWindowRate::new(window),
+            arrival_estimator: SlidingWindowRate::new(window),
             hot_tracker: HotKeyTracker::new(config.hot_key_capacity, config.hot_key_min_share),
             hot_stats: Vec::new(),
             config,
@@ -239,13 +235,10 @@ impl Monitor {
     }
 
     /// How far back the backlog-trend estimate looks: the sliding-window
-    /// length when one is configured, and never less than a few sweeps.
+    /// length, and never less than a few sweeps.
     fn trend_window_secs(&self) -> f64 {
-        let base = match self.config.estimator {
-            EstimatorKind::SlidingWindow(secs) => secs,
-            EstimatorKind::Ewma(_) => 0.0,
-        };
-        base.max(self.config.interval_secs * 5.0)
+        let EstimatorKind::SlidingWindow(window) = self.config.estimator;
+        window.max(self.config.interval_secs * 5.0)
     }
 
     /// The monitor configuration.
@@ -480,11 +473,6 @@ impl Monitor {
         sample
     }
 
-    /// The latest smoothed access rates.
-    pub fn current_rates(&self) -> RateEstimate {
-        self.estimator.estimate()
-    }
-
     /// The latest aggregated latency (milliseconds).
     pub fn current_latency_ms(&self) -> f64 {
         self.last_latency_ms
@@ -646,7 +634,7 @@ mod tests {
         let mut m = Monitor::new(MonitorConfig {
             probe_cost_per_node_ms: 100.0, // deliberately huge: 1 node => 0.1 s
             probe_threads: 1,
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             ..MonitorConfig::default()
         });
         let mut probe = MockProbe {
@@ -663,28 +651,6 @@ mod tests {
         // Elapsed is 1.0 s between sweeps + 0.1 s sweep cost = 1.1 s,
         // so the rate is 1100 / 1.1 = 1000, not 1100.
         assert!((s.read_rate - 1000.0).abs() < 1.0, "rate={}", s.read_rate);
-    }
-
-    #[test]
-    fn ewma_estimator_can_be_selected() {
-        let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(0.5),
-            probe_cost_per_node_ms: 0.0,
-            ..MonitorConfig::default()
-        });
-        let mut probe = MockProbe {
-            nodes: 1,
-            latency_ms: 1.0,
-            ..MockProbe::default()
-        };
-        m.sweep(SimTime::from_secs(1), &probe);
-        probe.reads = 100;
-        m.sweep(SimTime::from_secs(2), &probe);
-        probe.reads = 300;
-        m.sweep(SimTime::from_secs(3), &probe);
-        // Samples are 0/s (first sweep), 100/s, 200/s; with alpha 0.5 the
-        // EWMA is 0.5*200 + 0.25*100 + 0.25*0 = 125/s.
-        assert!((m.current_rates().reads_per_sec - 125.0).abs() < 1.0);
     }
 
     #[test]
@@ -770,7 +736,7 @@ mod tests {
     fn write_stage_telemetry_yields_arrival_rate_and_service_stats() {
         use harmony_store::node::WriteStageTelemetry;
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             ..MonitorConfig::default()
         });
@@ -884,7 +850,7 @@ mod tests {
         // 0.0 rate or a 0.0 backlog averaged into the cluster estimate.
         use harmony_store::node::WriteStageTelemetry;
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             ..MonitorConfig::default()
         });
@@ -955,7 +921,7 @@ mod tests {
             busy: 0,
         };
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             hot_key_capacity: 8,
             hot_key_min_share: 0.05,
@@ -1037,7 +1003,7 @@ mod tests {
     #[test]
     fn hot_keys_surface_with_rates_and_backlogs() {
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             hot_key_capacity: 8,
             hot_key_min_share: 0.05,
@@ -1101,7 +1067,7 @@ mod tests {
     fn predicted_wait_matches_the_mg1_fit_and_saturates() {
         use harmony_store::node::WriteStageTelemetry;
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             ..MonitorConfig::default()
         });
@@ -1155,7 +1121,7 @@ mod tests {
     fn predicted_wait_trend_tracks_the_arrival_ramp() {
         use harmony_store::node::WriteStageTelemetry;
         let mut m = Monitor::new(MonitorConfig {
-            estimator: EstimatorKind::Ewma(1.0),
+            estimator: EstimatorKind::SlidingWindow(1.0),
             probe_cost_per_node_ms: 0.0,
             ..MonitorConfig::default()
         });

@@ -1275,20 +1275,13 @@ mod tests {
     #[test]
     fn split_controller_populates_the_hot_set_under_zipfian_load() {
         // Saturated write stage (single service slot, slow mutations) so the
-        // hot keys of the Zipfian stream build real per-key backlogs; a
+        // hot keys of the Zipfian stream build real per-key backlogs; the
         // calibrated differential propagation window so the *residual*
         // (cold-tail) estimate stays cheap — the regime the split exists for.
-        use harmony_model::staleness::PropagationModel;
-        let mut controller_config = ControllerConfig::default();
-        controller_config.monitor.interval_secs = 0.05;
-        controller_config.monitor.estimator =
-            harmony_monitor::collector::EstimatorKind::SlidingWindow(0.25);
-        controller_config.propagation = PropagationModel::differential(0.02, 0.005);
-        controller_config.queueing = harmony_model::queueing::QueueingModel {
-            divergence_growth: 4.0,
-            ..harmony_model::queueing::QueueingModel::differential(1e-4)
+        let controller_config = ControllerConfig {
+            per_key_split: true,
+            ..ControllerConfig::calibrated()
         };
-        controller_config.per_key.enabled = true;
         let store = StoreConfig {
             replication_factor: 3,
             node_concurrency: 1,

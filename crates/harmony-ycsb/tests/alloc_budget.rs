@@ -15,9 +15,6 @@
 use harmony_adaptive::config::ControllerConfig;
 use harmony_adaptive::controller::AdaptiveController;
 use harmony_adaptive::policy::HarmonyPolicy;
-use harmony_model::queueing::QueueingModel;
-use harmony_model::staleness::PropagationModel;
-use harmony_monitor::collector::{EstimatorKind, MonitorConfig};
 use harmony_sim::profiles;
 use harmony_store::config::StoreConfig;
 use harmony_ycsb::runner::{ExperimentSpec, Runner};
@@ -64,20 +61,7 @@ fn headline_shaped_run_stays_within_two_allocations_per_op() {
         client_latency_ms: 0.15,
         ..StoreConfig::default()
     };
-    let controller_config = ControllerConfig {
-        monitor: MonitorConfig {
-            interval_secs: 0.05,
-            estimator: EstimatorKind::SlidingWindow(0.25),
-            ..MonitorConfig::default()
-        },
-        propagation: PropagationModel::differential(0.02, 0.005),
-        queueing: QueueingModel {
-            divergence_growth: 4.0,
-            ..QueueingModel::differential(1e-4)
-        },
-        avg_write_size_bytes: 100.0,
-        ..ControllerConfig::default()
-    };
+    let controller_config = ControllerConfig::calibrated();
     let workload = WorkloadSpec {
         field_size: 64,
         ..WorkloadSpec::workload_a(5_000)

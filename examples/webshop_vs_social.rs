@@ -23,9 +23,14 @@ struct Application {
 
 fn main() {
     // `--quick` (used by the smoke tests) shrinks the run so it finishes in
-    // well under a second even in debug builds.
+    // about a second even in debug builds, while still spanning several of
+    // the calibrated controller's 50 ms monitoring periods.
     let quick = std::env::args().any(|a| a == "--quick");
-    let (records, ops) = if quick { (400, 2_000) } else { (4_000, 40_000) };
+    let (records, ops) = if quick {
+        (400, 12_000)
+    } else {
+        (4_000, 40_000)
+    };
 
     let profile = harmony::profiles::grid5000();
     let store = StoreConfig {
@@ -57,7 +62,7 @@ fn main() {
         let result = run_experiment(
             &profile,
             store.clone(),
-            ControllerConfig::default(),
+            ControllerConfig::calibrated(),
             Box::new(HarmonyPolicy::new(
                 profile.replication_factor,
                 app.tolerated_stale_rate,

@@ -69,13 +69,13 @@ pub use harmony_sim::profiles;
 
 /// One-stop imports for the most common experiment workflow.
 pub mod prelude {
-    pub use harmony_adaptive::config::{ControllerConfig, PerKeySplitConfig};
+    pub use harmony_adaptive::config::ControllerConfig;
     pub use harmony_adaptive::controller::{AdaptiveController, HotKeyDecision};
     pub use harmony_adaptive::policy::{
         ConsistencyPolicy, HarmonyPolicy, PolicyContext, StaticPolicy,
     };
     pub use harmony_model::decision::{decide, decide_with_estimate, ConsistencyDecision};
-    pub use harmony_model::perkey::{KeyLoad, PerKeyModel};
+    pub use harmony_model::perkey::KeyLoad;
     pub use harmony_model::queueing::{
         MG1Queue, ProactiveConfig, QueueingModel, StalenessEstimate, WriteStageObservation,
     };

@@ -9,7 +9,7 @@ use harmony::prelude::*;
 fn controller_config() -> ControllerConfig {
     // Shared with the figure binaries and the paper-claim tests, so a future
     // recalibration cannot silently diverge between them.
-    harmony_bench::experiments::figure_controller_config()
+    ControllerConfig::calibrated()
 }
 
 fn store_config() -> StoreConfig {
@@ -146,7 +146,7 @@ fn latency_spike_raises_then_relaxes_the_level() {
     let mut controller = AdaptiveController::new(
         ControllerConfig {
             monitor: harmony::monitor::collector::MonitorConfig {
-                estimator: harmony::monitor::collector::EstimatorKind::Ewma(1.0),
+                estimator: harmony::monitor::collector::EstimatorKind::SlidingWindow(1.0),
                 ..Default::default()
             },
             ..ControllerConfig::default()

@@ -56,6 +56,21 @@ fn webshop_vs_social_runs() {
     let out = run_example("webshop_vs_social", &["--quick"]);
     assert!(out.contains("web-shop"), "unexpected output:\n{out}");
     assert!(out.contains("social network"), "unexpected output:\n{out}");
+    // The web shop's block prints first, the social network's second.
+    let replicas: Vec<f64> = out
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("avg replicas per read"))
+        .map(|rest| {
+            rest.trim_start_matches([' ', ':'])
+                .parse()
+                .unwrap_or_else(|e| panic!("bad replica figure {rest:?}: {e}"))
+        })
+        .collect();
+    assert_eq!(replicas.len(), 2, "unexpected output:\n{out}");
+    assert!(
+        replicas[0] > replicas[1],
+        "the 5% web shop must read more replicas than the 60% social network:\n{out}"
+    );
 }
 
 #[test]

@@ -272,7 +272,7 @@ fn multi_dc_runs_are_deterministic() {
                 client_latency_ms: 0.15,
                 ..StoreConfig::default()
             },
-            harmony_bench::experiments::figure_controller_config(),
+            ControllerConfig::calibrated(),
             Box::new(HarmonyPolicy::new(3, 0.4)),
             spec,
         )

@@ -25,7 +25,7 @@ fn controller_config() -> ControllerConfig {
     // The exact configuration the figure binaries run, so these tests guard
     // what `fig5_*`/`fig6_*`/`headline` actually measure (including the
     // calibrated queueing model).
-    harmony_bench::experiments::figure_controller_config()
+    ControllerConfig::calibrated()
 }
 
 fn run(policy: Box<dyn ConsistencyPolicy>, threads: usize, ops: u64) -> ExperimentResult {
@@ -266,9 +266,9 @@ fn run_skewed(
         max_virtual_secs: 600.0,
     };
     let controller = if split {
-        harmony_bench::experiments::split_figure_controller_config()
+        harmony_bench::experiments::enable_split(ControllerConfig::calibrated())
     } else {
-        harmony_bench::experiments::figure_controller_config()
+        ControllerConfig::calibrated()
     };
     run_experiment(
         &profile(),

@@ -10,18 +10,9 @@
 //! leakage) would surface here as a diverging hot set or decision record.
 
 use harmony::prelude::*;
+use harmony_bench::experiments::enable_split;
 
 fn run_split(seed: u64) -> ExperimentResult {
-    run_split_with_controller(
-        seed,
-        harmony_bench::experiments::split_figure_controller_config(),
-    )
-}
-
-fn run_split_with_controller(
-    seed: u64,
-    controller: harmony_adaptive::config::ControllerConfig,
-) -> ExperimentResult {
     let mut workload = WorkloadSpec::workload_a(1_000);
     workload.field_count = 2;
     workload.field_size = 16;
@@ -45,7 +36,11 @@ fn run_split_with_controller(
     // schedule: the golden pin below is therefore also the guard that the
     // whole chaos layer (fault masks, hint plumbing, membership checks) is
     // byte-for-byte free when no fault fires.
-    let controller = AdaptiveController::new(controller, 5, Box::new(HarmonyPolicy::new(5, 0.05)));
+    let controller = AdaptiveController::new(
+        enable_split(ControllerConfig::calibrated()),
+        5,
+        Box::new(HarmonyPolicy::new(5, 0.05)),
+    );
     Runner::new(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
@@ -81,7 +76,7 @@ fn run_split_through_retry_entry_point(seed: u64) -> ExperimentResult {
         ..StoreConfig::default()
     };
     let controller = AdaptiveController::new(
-        harmony_bench::experiments::split_figure_controller_config(),
+        enable_split(ControllerConfig::calibrated()),
         5,
         Box::new(HarmonyPolicy::new(5, 0.05)),
     );
@@ -216,25 +211,7 @@ fn golden_stats_pin_for_seed_20120920() {
         9_088.0
     );
 
-    // The pin doubles as the proactive-degeneration guard: with the switch
-    // off, every proactive knob can be tuned to its most aggressive setting
-    // and the run still reproduces the exact same decision timeline, hot set
-    // and outcome — the disabled path performs no extra arithmetic at all.
-    let mut tuned_but_off = harmony_bench::experiments::split_figure_controller_config();
-    tuned_but_off.proactive = ProactiveConfig {
-        enabled: false,
-        prediction_weight: 1.0,
-        min_utilization: 0.0,
-        horizon_secs: 9.0,
-    };
-    let off = run_split_with_controller(20120920, tuned_but_off);
-    assert_eq!(off.decisions, r.decisions);
-    assert_eq!(off.hot_set, r.hot_set);
-    assert_eq!(off.read_level_histogram, r.read_level_histogram);
-    assert_eq!(off.stats.stale_reads, r.stats.stale_reads);
-    assert_eq!(off.cluster_totals, r.cluster_totals);
-
-    // And the self-healing-degeneration guard: the same run routed through
+    // The self-healing-degeneration guard: the same run routed through
     // the retry-aware entry point, with every repair knob present but
     // disabled (default retry/hedge policy, anti-entropy interval at zero,
     // repair-blind staleness model), must reproduce the exact same timeline

@@ -1,10 +1,8 @@
 //! Proactive (predicted-wait) control, end to end (ISSUE 6 acceptance): the
 //! proactive controller escalates at least one monitoring period before the
 //! reactive one after a correlated crash, relaxes no later once the cluster
-//! heals, keeps every decision input finite through a chaos schedule that
-//! changes the topology mid-trend-window, and — disabled — is byte-identical
-//! to the reactive controller even under faults (the healthy-run guarantee
-//! is pinned to exact numbers in `tests/per_key_determinism.rs`).
+//! heals, and keeps every decision input finite through a chaos schedule
+//! that changes the topology mid-trend-window.
 //!
 //! Everything runs the full stack on the calibrated Grid'5000 figure
 //! configuration, the same scenario the `proactive_sweep` binary sweeps: a
@@ -17,7 +15,7 @@
 use harmony::prelude::*;
 use harmony::sim::topology::NodeId;
 use harmony_bench::experiments::{
-    enable_proactive, grid5000_experiment_config, scaled_workload_a, ExperimentConfig, PolicySpec,
+    grid5000_experiment_config, scaled_workload_a, ExperimentConfig, PolicySpec,
 };
 
 /// The figure configuration's monitoring period (seconds).
@@ -63,7 +61,7 @@ fn run(
 ) -> ExperimentResult {
     let mut config = config.clone();
     if proactive {
-        config.controller = enable_proactive(config.controller);
+        config.controller.proactive = ProactiveConfig::enabled();
     }
     let spec = ExperimentSpec {
         phases,
@@ -257,42 +255,4 @@ fn chaos_with_mid_window_joins_keeps_every_decision_input_finite() {
             }
         }
     }
-}
-
-/// Disabled, the proactive path is byte-identical to the reactive
-/// controller even under the crash schedule — every knob can be tuned as
-/// long as the switch is off, and not a bit of the decision timeline moves.
-/// (The healthy-run form of this guarantee is pinned to exact golden stats
-/// in `tests/per_key_determinism.rs`.)
-#[test]
-fn disabled_proactive_is_byte_identical_under_faults() {
-    let config = config();
-    let baseline = run(
-        &config,
-        false,
-        vec![load_phase(&config)],
-        FaultSchedule::empty(),
-    );
-    let duration = baseline.stats.duration_secs();
-    let schedule = crash_schedule(duration * 0.3, duration * 0.55);
-
-    let reactive = run(&config, false, vec![load_phase(&config)], schedule.clone());
-
-    let mut disabled = config.clone();
-    disabled.controller.proactive = ProactiveConfig {
-        enabled: false,
-        prediction_weight: 1.0,
-        min_utilization: 0.0,
-        horizon_secs: 9.0,
-    };
-    let tuned_but_off = run(&disabled, false, vec![load_phase(&config)], schedule);
-
-    assert_eq!(reactive.decisions, tuned_but_off.decisions);
-    assert_eq!(
-        reactive.read_level_histogram,
-        tuned_but_off.read_level_histogram
-    );
-    assert_eq!(reactive.stats.operations, tuned_but_off.stats.operations);
-    assert_eq!(reactive.stats.stale_reads, tuned_but_off.stats.stale_reads);
-    assert_eq!(reactive.cluster_totals, tuned_but_off.cluster_totals);
 }

@@ -48,7 +48,7 @@ fn run_sharded(seed: u64, shards: usize) -> ExperimentResult {
     run_sharded_experiment(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
-        harmony_bench::experiments::split_figure_controller_config(),
+        harmony_bench::experiments::enable_split(ControllerConfig::calibrated()),
         Box::new(HarmonyPolicy::new(5, 0.05)),
         spec,
         FaultSchedule::empty(),
@@ -153,7 +153,7 @@ fn chaos_schedule_runs_panic_free_across_shards() {
         run_sharded_experiment(
             &harmony::profiles::grid5000_with_nodes(8),
             store.clone(),
-            harmony_bench::experiments::split_figure_controller_config(),
+            harmony_bench::experiments::enable_split(ControllerConfig::calibrated()),
             Box::new(HarmonyPolicy::new(3, 0.05)),
             spec.clone(),
             faults.clone(),
