@@ -36,11 +36,8 @@ pub enum FaultEvent {
     },
     /// Network partition: nodes can only exchange messages within their own
     /// group. Nodes not listed in any group form an implicit extra group.
-    /// Client locality differs by runtime: the simulator's clients are
-    /// multi-homed and keep reaching live coordinators on every side, while
-    /// the threaded live cluster has no server-side coordinators (the client
-    /// handle plays that role) and pins its clients to `groups[0]` — list
-    /// the side the clients should stay with first.
+    /// Clients are multi-homed and keep reaching live coordinators on every
+    /// side, so the order of the groups does not matter.
     Partition {
         /// The connectivity groups (each a list of node ids).
         groups: Vec<Vec<NodeId>>,

@@ -1,7 +1,6 @@
 //! The cluster-side fault state: liveness, partition masks, slow-down
-//! factors and ring membership, shared by the discrete-event cluster and the
-//! real-threaded live cluster so both runtimes interpret the same schedule
-//! identically.
+//! factors and ring membership, as the discrete-event cluster interprets a
+//! fault schedule.
 //!
 //! The state answers three questions on the hot path — *is this node
 //! serving?*, *can these two nodes talk?*, *how slow is this node?* — all as
@@ -145,22 +144,12 @@ impl FaultState {
 
     /// The node's connectivity group under the active partition, or `None`
     /// when no partition is active. Groups named in the partition event get
-    /// their index; unlisted nodes share one implicit group. Backends whose
-    /// clients sit on a specific side (the live cluster pins clients to
-    /// group 0) use this to decide client reachability.
+    /// their index; unlisted nodes share one implicit group.
     #[inline]
     pub fn partition_group(&self, node: NodeId) -> Option<u32> {
         self.partition
             .as_ref()
             .map(|groups| groups.get(node.index()).copied().unwrap_or(u32::MAX))
-    }
-
-    /// True if any node has ever been decommissioned — i.e. the membership
-    /// is no longer the dense `0..node_count` range. Hot paths use this to
-    /// keep their allocation-free dense-membership placement until churn
-    /// actually happens.
-    pub fn any_decommissioned(&self) -> bool {
-        self.decommissioned.iter().any(|d| *d)
     }
 
     /// The current ring members, in id order.

@@ -13,7 +13,8 @@
 //!
 //! The monitor is deliberately decoupled from the store through the
 //! [`probe::ClusterProbe`] trait so the same code can drive the discrete-event
-//! cluster, the real-threaded live cluster, or a mock in tests.
+//! cluster, the sharded runner's merged view of its shards, or a mock in
+//! tests.
 
 pub mod collector;
 pub mod heavy_hitters;

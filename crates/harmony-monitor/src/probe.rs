@@ -1,9 +1,9 @@
 //! The probing interface between the monitor and the storage system.
 //!
 //! The monitor needs two signals: cumulative read/write counters and a sample
-//! of pairwise network latency. Both the discrete-event [`Cluster`] and any
-//! other backend (the real-threaded live cluster, or a mock in tests) expose
-//! them through [`ClusterProbe`].
+//! of pairwise network latency. The discrete-event [`Cluster`], the sharded
+//! runner's merged view of its shards and the mocks in tests expose them
+//! through [`ClusterProbe`].
 //!
 //! Per-key signals travel as interned [`KeyId`]s: the write-key sample
 //! stream and the per-key backlog probe move 4-byte `Copy` ids, and

@@ -8,7 +8,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::time::Duration;
 
 /// A point in virtual time, measured in nanoseconds from simulation start.
 ///
@@ -94,16 +93,6 @@ impl SimTime {
     /// Difference `self - earlier`, or `None` if `earlier` is later than `self`.
     pub fn checked_sub(self, earlier: SimTime) -> Option<SimTime> {
         self.0.checked_sub(earlier.0).map(SimTime)
-    }
-
-    /// Converts to a wall-clock [`Duration`] (used by the real-threaded live cluster).
-    pub fn to_duration(self) -> Duration {
-        Duration::from_nanos(self.0)
-    }
-
-    /// Creates a `SimTime` from a wall-clock [`Duration`].
-    pub fn from_duration(d: Duration) -> Self {
-        SimTime(d.as_nanos().min(u64::MAX as u128) as u64)
     }
 
     /// Scales this duration by a non-negative factor, rounding to nanoseconds.
@@ -243,11 +232,5 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimTime::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimTime::from_secs(12)), "12.000s");
-    }
-
-    #[test]
-    fn duration_round_trip() {
-        let t = SimTime::from_millis(1234);
-        assert_eq!(SimTime::from_duration(t.to_duration()), t);
     }
 }

@@ -325,10 +325,7 @@ pub struct ClusterObs {
 }
 
 /// Upper bound on buffered write-key samples between monitoring sweeps.
-/// Shared by every backend feeding the monitor's heavy-hitter sketch (the
-/// real-threaded live cluster imports it too) so the sampling policy cannot
-/// drift between them.
-pub const WRITE_KEY_SAMPLE_CAP: usize = 1 << 16;
+const WRITE_KEY_SAMPLE_CAP: usize = 1 << 16;
 
 impl Cluster {
     /// Builds a cluster over `topology` with the given network behaviour.
@@ -641,7 +638,7 @@ impl Cluster {
 
     /// Drains the buffered keys of client writes since the previous call —
     /// the observation stream of the monitor's heavy-hitter sketch. The
-    /// buffer is bounded ([`WRITE_KEY_SAMPLE_CAP`]); under an absent or
+    /// buffer is bounded (`WRITE_KEY_SAMPLE_CAP`); under an absent or
     /// stalled monitor the overflow is dropped rather than accumulated.
     pub fn drain_write_key_samples(&self) -> Vec<KeyId> {
         std::mem::take(&mut *self.write_key_samples.borrow_mut())

@@ -234,8 +234,10 @@ impl ExperimentSpec {
         if self.phases.iter().any(|p| p.operations == 0) {
             return Err("every phase needs at least one operation".into());
         }
-        if self.max_virtual_secs <= 0.0 {
-            return Err("max_virtual_secs must be positive".into());
+        // NaN and +inf would otherwise turn into a zero deadline and a run
+        // that completes no operation without an error.
+        if !(self.max_virtual_secs.is_finite() && self.max_virtual_secs > 0.0) {
+            return Err("max_virtual_secs must be finite and positive".into());
         }
         Ok(())
     }
@@ -1251,6 +1253,19 @@ mod tests {
             Box::new(StaticPolicy::Eventual),
         );
         let _ = Runner::new(&profile, small_store_config(), controller, spec);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_deadline_is_rejected() {
+        assert!(small_spec(4, 100).validate().is_ok());
+        for secs in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut spec = small_spec(4, 100);
+            spec.max_virtual_secs = secs;
+            assert!(
+                spec.validate().is_err(),
+                "max_virtual_secs = {secs} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! | [`harmony_monitor`] | the monitoring module (counter/latency collection, rate smoothing) |
 //! | [`harmony_adaptive`] | the adaptive controller plus the static baselines (eventual, strong, quorum) |
 //! | [`harmony_ycsb`] | YCSB-style workloads, closed-loop clients, statistics and staleness measurement |
-//! | [`harmony_live`] | a real-threaded replicated store showing the controller in wall-clock time |
 //!
 //! The `harmony-bench` crate regenerates every figure of the paper's
 //! evaluation; see `EXPERIMENTS.md` at the repository root.
@@ -56,7 +55,6 @@
 
 pub use harmony_adaptive as adaptive;
 pub use harmony_chaos as chaos;
-pub use harmony_live as live;
 pub use harmony_model as model;
 pub use harmony_monitor as monitor;
 pub use harmony_obs as obs;
