@@ -93,12 +93,32 @@ impl HarmonyPolicy {
     /// Creates a Harmony policy for a store with the given replication factor
     /// and an application-tolerated stale-read rate (`app_stale_rate`,
     /// a fraction in `[0, 1]`; e.g. 0.2 for the paper's "Harmony-20%").
+    ///
+    /// # Panics
+    ///
+    /// With the error [`HarmonyPolicy::try_new`] returns for these inputs.
     pub fn new(replication_factor: usize, app_stale_rate: f64) -> Self {
-        HarmonyPolicy {
-            app_stale_rate: app_stale_rate.clamp(0.0, 1.0),
+        Self::try_new(replication_factor, app_stale_rate)
+            .unwrap_or_else(|e| panic!("invalid Harmony policy: {e}"))
+    }
+
+    /// [`HarmonyPolicy::new`], rejecting a replication factor of 0 and a
+    /// tolerance that is not a finite fraction in `[0, 1]` (NaN included)
+    /// instead of panicking.
+    pub fn try_new(replication_factor: usize, app_stale_rate: f64) -> Result<Self, String> {
+        if replication_factor == 0 {
+            return Err("replication factor must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&app_stale_rate) {
+            return Err(format!(
+                "tolerated stale-read rate must be a fraction in [0, 1], got {app_stale_rate}"
+            ));
+        }
+        Ok(HarmonyPolicy {
+            app_stale_rate,
             model: StaleReadModel::new(replication_factor),
             last_estimate: 0.0,
-        }
+        })
     }
 
     /// The tolerated stale-read rate.
@@ -281,9 +301,23 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_is_clamped() {
-        assert_eq!(HarmonyPolicy::new(5, 7.0).app_stale_rate(), 1.0);
-        assert_eq!(HarmonyPolicy::new(5, -0.3).app_stale_rate(), 0.0);
+    fn tolerance_outside_the_unit_interval_is_rejected() {
+        for asr in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY, 7.0] {
+            let err = HarmonyPolicy::try_new(5, asr).expect_err("out of range");
+            assert!(err.contains("[0, 1]"), "asr={asr}: {err}");
+        }
+        for asr in [0.0, 0.2, 1.0] {
+            let p = HarmonyPolicy::try_new(5, asr).expect("in range");
+            assert_eq!(p.app_stale_rate(), asr);
+            assert_eq!(HarmonyPolicy::new(5, asr).app_stale_rate(), asr);
+        }
+        assert!(HarmonyPolicy::try_new(0, 0.2).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid Harmony policy")]
+    fn new_panics_on_a_nan_tolerance() {
+        let _ = HarmonyPolicy::new(5, f64::NAN);
     }
 
     #[test]

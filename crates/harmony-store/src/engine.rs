@@ -1,10 +1,13 @@
 //! Per-node storage engine: one row map per replica.
 //!
-//! Every replica keeps its rows in a single sorted map keyed by [`KeyId`].
-//! A write upserts its columns with per-column last-write-wins (ties keep
-//! the stored cell); a repair row merges the same way. The cost of the
-//! paper's Cassandra write path (§II.B) comes from the store's service
-//! model, not from this structure.
+//! Every replica keeps its rows in a single sorted map keyed by [`KeyId`],
+//! each row a shared, flat, name-sorted column vector ([`Row`]). A write
+//! upserts its columns with per-column last-write-wins (ties keep the stored
+//! cell); a repair row merges the same way. A row costs one `Arc` and one
+//! exactly sized vector of 40 bytes per column, so a `lean` replica row of
+//! two columns is 40 + 80 bytes of heap. The cost of the paper's Cassandra
+//! write path (§II.B) comes from the store's service model, not from this
+//! structure.
 
 use crate::keys::KeyId;
 use crate::types::{Mutation, Row, Timestamp};
@@ -43,12 +46,18 @@ impl StorageEngine {
 
     /// Applies a mutation at `timestamp`: per-column last-write-wins upsert.
     pub fn apply(&mut self, key: KeyId, mutation: &Mutation, timestamp: Timestamp) {
-        // `make_mut` clones only if a read response still shares this row —
-        // exactly the copy-on-write a shared store needs, and a copy of the
-        // column map's pointers, not of the payloads behind them.
-        let entry = Arc::make_mut(self.rows.entry(key).or_default());
+        // A new row is sized to the mutation, so loading a record is one
+        // exact allocation. `make_mut` clones only if a read response still
+        // shares this row — exactly the copy-on-write a shared store needs,
+        // and a copy of the column vector's pointers (one allocation of the
+        // same size), not of the payloads behind them.
+        let row = self
+            .rows
+            .entry(key)
+            .or_insert_with(|| Arc::new(Row::with_capacity(mutation.len())));
+        let row = Arc::make_mut(row);
         for (name, value) in &mutation.columns {
-            entry.upsert(name, value, timestamp);
+            row.upsert(name, value, timestamp);
         }
     }
 
@@ -88,7 +97,7 @@ mod tests {
     }
 
     fn value_of(row: &Row, col: &str) -> String {
-        String::from_utf8(row.columns[col].value.to_vec()).unwrap()
+        String::from_utf8(row.get(col).unwrap().value.to_vec()).unwrap()
     }
 
     #[test]
@@ -147,10 +156,9 @@ mod tests {
     fn apply_row_merges_for_read_repair() {
         let mut e = StorageEngine::default();
         e.apply(KeyId(0), &mutation("f", "local"), Timestamp(1));
-        let mut repair = Row::new();
-        repair
-            .columns
-            .insert("f".into(), Cell::new(b"repaired".to_vec(), Timestamp(9)));
+        let repair: Row = [("f".into(), Cell::new(b"repaired".to_vec(), Timestamp(9)))]
+            .into_iter()
+            .collect();
         e.apply_row(KeyId(0), &repair);
         assert_eq!(value_of(&e.get(KeyId(0)).unwrap(), "f"), "repaired");
         // Empty repair rows are ignored entirely: no row appears for them.
@@ -182,8 +190,8 @@ mod tests {
         let (row_a, row_b) = (a.get(KeyId(0)).unwrap(), b.get(KeyId(0)).unwrap());
         for (name, payload) in &record.columns {
             // One allocation behind the mutation and both replicas' cells.
-            assert!(Arc::ptr_eq(&row_a.columns[name].value, payload));
-            assert!(Arc::ptr_eq(&row_b.columns[name].value, payload));
+            assert!(Arc::ptr_eq(&row_a.get(name).unwrap().value, payload));
+            assert!(Arc::ptr_eq(&row_b.get(name).unwrap().value, payload));
         }
         a.apply(KeyId(0), &mutation("field0", "updated"), Timestamp(2));
         assert_eq!(value_of(&a.get(KeyId(0)).unwrap(), "field0"), "updated");

@@ -2,14 +2,54 @@
 //! [`Row::merge_shared`] must return exactly what the plain left fold of
 //! [`Row::merge_from`] builds — per-column last-write-wins, earlier rows
 //! winning ties — for any list of rows, including ties, empty rows and
-//! disjoint column sets; and the storage engine's two write paths (`apply`
-//! and `apply_row`) must store that same fold.
+//! disjoint column sets; the storage engine's two write paths (`apply`
+//! and `apply_row`) must store that same fold; and the flat, name-sorted
+//! row must hold exactly what a `BTreeMap` fold of the same writes holds,
+//! whichever of `upsert`, `merge_from` and `merge_shared` applied them.
 
 use harmony_store::engine::StorageEngine;
 use harmony_store::keys::KeyId;
 use harmony_store::types::{Cell, Mutation, Row, Timestamp};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// A row's columns in its own order.
+fn columns(row: &Row) -> Vec<(Arc<str>, Cell)> {
+    row.iter()
+        .map(|(name, cell)| (Arc::clone(name), cell.clone()))
+        .collect()
+}
+
+/// A reference map's columns in name order.
+fn flatten(reference: BTreeMap<Arc<str>, Cell>) -> Vec<(Arc<str>, Cell)> {
+    reference.into_iter().collect()
+}
+
+/// The reference rule for one column: the stored cell stands unless the
+/// offered one is strictly newer (last-write-wins, ties to the incumbent).
+fn reference_upsert(reference: &mut BTreeMap<Arc<str>, Cell>, name: &Arc<str>, cell: &Cell) {
+    match reference.get_mut(name) {
+        Some(stored) if stored.timestamp >= cell.timestamp => {}
+        Some(stored) => *stored = cell.clone(),
+        None => {
+            reference.insert(Arc::clone(name), cell.clone());
+        }
+    }
+}
+
+/// True when `mine` holds every column of `theirs` with a timestamp that
+/// passes `newer` against it.
+fn reference_covers(
+    mine: &BTreeMap<Arc<str>, Cell>,
+    theirs: &BTreeMap<Arc<str>, Cell>,
+    newer: fn(&Timestamp, &Timestamp) -> bool,
+) -> bool {
+    theirs.iter().all(|(name, cell)| {
+        mine.get(name)
+            .is_some_and(|c| newer(&c.timestamp, &cell.timestamp))
+    })
+}
 
 /// The plain left fold of [`Row::merge_from`]; `None` for no rows.
 fn left_fold<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Option<Row> {
@@ -31,14 +71,15 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let mut row = Row::new();
-                for &(column, ts) in spec {
-                    // The payload names its row, so a tie resolved towards
-                    // the wrong row changes the content compared below.
-                    let value = format!("r{i}c{column}t{ts}").into_bytes();
-                    row.columns
-                        .insert(format!("c{column}").into(), Cell::new(value, Timestamp(ts)));
-                }
+                // The payload names its row, so a tie resolved towards the
+                // wrong row changes the content compared below.
+                let row: Row = spec
+                    .iter()
+                    .map(|&(column, ts)| {
+                        let value = format!("r{i}c{column}t{ts}").into_bytes();
+                        (format!("c{column}").into(), Cell::new(value, Timestamp(ts)))
+                    })
+                    .collect();
                 Arc::new(row)
             })
             .collect();
@@ -82,11 +123,10 @@ proptest! {
                     inputs.push((key, mutation.into_row(Timestamp(ts))));
                 }
                 1 => {
-                    let mut row = Row::new();
-                    for &(c, cts) in &columns {
-                        row.columns
-                            .insert(format!("c{c}").into(), Cell::new(value(c), Timestamp(cts)));
-                    }
+                    let row: Row = columns
+                        .iter()
+                        .map(|&(c, cts)| (format!("c{c}").into(), Cell::new(value(c), Timestamp(cts))))
+                        .collect();
                     engine.apply_row(KeyId(key), &row);
                     // `apply_row` ignores an empty row.
                     if !row.is_empty() {
@@ -105,19 +145,18 @@ proptest! {
             let fold = left_fold(rows.iter().copied());
             // The same rule without `merge_from`: per column, the newest
             // timestamp wins and the first write wins a tie.
-            let spelled_out = (!rows.is_empty()).then(|| Row {
-                columns: rows
-                    .iter()
-                    .flat_map(|r| r.columns.keys())
-                    .map(|name| {
-                        let cells = rows.iter().filter_map(|r| r.columns.get(name));
+            let spelled_out = (!rows.is_empty()).then(|| {
+                rows.iter()
+                    .flat_map(|r| r.iter())
+                    .map(|(name, _)| {
+                        let cells = rows.iter().filter_map(|r| r.get(name));
                         let winner =
                             cells.reduce(|a, b| if b.timestamp > a.timestamp { b } else { a });
                         (Arc::clone(name), winner.cloned().unwrap())
                     })
-                    .collect(),
+                    .collect::<BTreeMap<_, _>>()
             });
-            prop_assert_eq!(&fold, &spelled_out);
+            prop_assert_eq!(fold.as_ref().map(columns), spelled_out.map(flatten));
             let stored = engine.get(KeyId(key));
             prop_assert_eq!(stored.as_deref(), fold.as_ref());
             let newest = fold.as_ref().map(Row::latest_timestamp);
@@ -125,6 +164,90 @@ proptest! {
         }
         for (row, copy) in &held {
             prop_assert_eq!(&**row, copy);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn flat_rows_match_a_btreemap_reference_fold(
+        // Per step: (path, (column, timestamp, shared name) triples in
+        // insertion order). Path 0 upserts the triples one by one, path 1
+        // merges them in as a row with `merge_from`, path 2 reconciles the
+        // current row with that row through `merge_shared`. Six names and
+        // four timestamps make repeats, ties and splices frequent.
+        steps in prop::collection::vec(
+            (0u8..3, prop::collection::vec((0u8..6, 0u64..4, 0u8..2), 0..8)),
+            0..16,
+        ),
+    ) {
+        // A shared name is one allocation for every write (the pointer
+        // match); otherwise each write brings its own copy of the name.
+        let pool: Vec<Arc<str>> = (0..6).map(|c| format!("c{c}").into()).collect();
+        let mut row = Arc::new(Row::new());
+        let mut reference: BTreeMap<Arc<str>, Cell> = BTreeMap::new();
+        for (i, (path, triples)) in steps.into_iter().enumerate() {
+            let cells: Vec<(Arc<str>, Cell)> = triples
+                .iter()
+                .enumerate()
+                .map(|(j, &(c, ts, shared))| {
+                    let name = if shared == 1 {
+                        Arc::clone(&pool[c as usize])
+                    } else {
+                        format!("c{c}").into()
+                    };
+                    // The payload names its write, so a tie resolved towards
+                    // the wrong cell changes the content compared below.
+                    (name, Cell::new(format!("s{i}w{j}").into_bytes(), Timestamp(ts)))
+                })
+                .collect();
+            let mut offered: BTreeMap<Arc<str>, Cell> = BTreeMap::new();
+            cells
+                .iter()
+                .for_each(|(name, cell)| reference_upsert(&mut offered, name, cell));
+            match path {
+                0 => {
+                    let target = Arc::make_mut(&mut row);
+                    for (name, cell) in &cells {
+                        target.upsert(name, &cell.value, cell.timestamp);
+                        reference_upsert(&mut reference, name, cell);
+                    }
+                }
+                1 => {
+                    let other: Row = cells.into_iter().collect();
+                    prop_assert_eq!(columns(&other), flatten(offered.clone()));
+                    Arc::make_mut(&mut row).merge_from(&other);
+                    offered
+                        .iter()
+                        .for_each(|(name, cell)| reference_upsert(&mut reference, name, cell));
+                }
+                _ => {
+                    let other: Arc<Row> = Arc::new(cells.into_iter().collect());
+                    let merged = Row::merge_shared([&row, &other].into_iter()).unwrap();
+                    // Dominance, the private `covers` walk, seen through the
+                    // copy `merge_shared` avoids.
+                    if reference_covers(&reference, &offered, Timestamp::ge) {
+                        prop_assert!(Arc::ptr_eq(&merged, &row));
+                    } else if reference_covers(&offered, &reference, Timestamp::gt) {
+                        prop_assert!(Arc::ptr_eq(&merged, &other));
+                    } else {
+                        prop_assert!(!Arc::ptr_eq(&merged, &row) && !Arc::ptr_eq(&merged, &other));
+                    }
+                    offered
+                        .iter()
+                        .for_each(|(name, cell)| reference_upsert(&mut reference, name, cell));
+                    row = merged;
+                }
+            }
+            let names: Vec<&str> = row.iter().map(|(name, _)| &**name).collect();
+            prop_assert!(names.windows(2).all(|w| w[0] < w[1]), "names {:?}", names);
+            prop_assert_eq!(columns(&row), flatten(reference.clone()));
+            prop_assert_eq!(row.len(), reference.len());
+            for name in &pool {
+                prop_assert_eq!(row.get(name), reference.get(name));
+            }
+            let newest = reference.values().map(|c| c.timestamp).max();
+            prop_assert_eq!(row.latest_timestamp(), newest.unwrap_or(Timestamp::ZERO));
         }
     }
 }

@@ -1,13 +1,11 @@
-//! Offline stand-in for `crossbeam` (the `channel` module only): MPMC
-//! bounded/unbounded channels built on `Mutex` + `Condvar`. Unlike
-//! `std::sync::mpsc`, senders *and* receivers are cloneable and a single
-//! `Sender`/`Receiver` pair of types covers both channel flavours — the two
-//! properties the live cluster relies on.
+//! Offline stand-in for `crossbeam` (the `channel` module only): an MPMC
+//! unbounded channel built on `Mutex` + `Condvar`. Unlike
+//! `std::sync::mpsc`, senders *and* receivers are cloneable — the property
+//! the shard barrier's exchange relies on.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -17,9 +15,7 @@ pub mod channel {
 
     struct Inner<T> {
         state: Mutex<State<T>>,
-        capacity: Option<usize>,
         not_empty: Condvar,
-        not_full: Condvar,
     }
 
     /// Sending half; cloneable, usable from any thread.
@@ -56,62 +52,15 @@ pub mod channel {
 
     impl std::error::Error for RecvError {}
 
-    /// Outcome of a non-blocking receive attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        Empty,
-        Disconnected,
-    }
-
-    impl std::fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                TryRecvError::Empty => write!(f, "channel empty"),
-                TryRecvError::Disconnected => write!(f, "channel disconnected"),
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
-
-    /// Outcome of a receive with timeout.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    impl std::fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "receive timed out"),
-                RecvTimeoutError::Disconnected => write!(f, "channel disconnected"),
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
-
     /// Creates a channel with unlimited buffering.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a channel that holds at most `cap` in-flight messages.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(cap))
-    }
-
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
             }),
-            capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         (
             Sender {
@@ -129,41 +78,17 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Blocks until the message is enqueued (bounded channels only block
-        /// when full). Fails only when every receiver is gone.
+        /// Enqueues the message without blocking. Fails only when every
+        /// receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut state = lock(&self.inner);
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                let full = self
-                    .inner
-                    .capacity
-                    .map(|cap| state.queue.len() >= cap)
-                    .unwrap_or(false);
-                if !full {
-                    state.queue.push_back(value);
-                    drop(state);
-                    self.inner.not_empty.notify_one();
-                    return Ok(());
-                }
-                state = self
-                    .inner
-                    .not_full
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            if state.receivers == 0 {
+                return Err(SendError(value));
             }
-        }
-
-        /// Number of buffered messages.
-        pub fn len(&self) -> usize {
-            lock(&self.inner).queue.len()
-        }
-
-        /// True if no messages are buffered.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
+            state.queue.push_back(value);
+            drop(state);
+            self.inner.not_empty.notify_one();
+            Ok(())
         }
     }
 
@@ -193,8 +118,6 @@ pub mod channel {
             let mut state = lock(&self.inner);
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.inner.not_full.notify_one();
                     return Ok(value);
                 }
                 if state.senders == 0 {
@@ -206,62 +129,6 @@ pub mod channel {
                     .wait(state)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = lock(&self.inner);
-            if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.inner.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Blocks up to `timeout` for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut state = lock(&self.inner);
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.inner.not_full.notify_one();
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _timed_out) = self
-                    .inner
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                state = guard;
-            }
-        }
-
-        /// Number of buffered messages.
-        pub fn len(&self) -> usize {
-            lock(&self.inner).queue.len()
-        }
-
-        /// True if no messages are buffered.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Blocking iterator draining the channel until disconnect.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
         }
     }
 
@@ -276,42 +143,14 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut state = lock(&self.inner);
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                drop(state);
-                self.inner.not_full.notify_all();
-            }
-        }
-    }
-
-    /// See [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
+            lock(&self.inner).receivers -= 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError, TryRecvError};
-    use std::time::Duration;
+    use super::channel::unbounded;
 
     #[test]
     fn unbounded_fifo() {
@@ -331,7 +170,6 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv().unwrap(), 1);
         assert!(rx.recv().is_err());
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
@@ -339,27 +177,6 @@ mod tests {
         let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn bounded_blocks_and_unblocks() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let t = std::thread::spawn(move || tx.send(3));
-        assert_eq!(rx.recv().unwrap(), 1);
-        t.join().unwrap().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert_eq!(rx.recv().unwrap(), 3);
-    }
-
-    #[test]
-    fn timeout_expires() {
-        let (_tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
     }
 
     #[test]

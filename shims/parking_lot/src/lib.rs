@@ -1,6 +1,6 @@
-//! Offline stand-in for `parking_lot`: thin wrappers over the std
-//! synchronization primitives with parking_lot's poison-free API
-//! (`lock()` returns the guard directly).
+//! Offline stand-in for `parking_lot` (`Mutex` only): a thin wrapper over
+//! the std mutex with parking_lot's poison-free API (`lock()` returns the
+//! guard directly).
 
 use std::sync;
 
@@ -18,75 +18,12 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// Reader-writer lock with parking_lot's panic-free guard API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
@@ -101,7 +38,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -120,13 +56,5 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 }
