@@ -19,7 +19,6 @@
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// A row key *name*. YCSB-style workloads use keys like `"user4382"`. On
@@ -66,7 +65,7 @@ impl Cell {
 /// whole row is one exactly sized allocation: a copy-on-write clone is one
 /// allocation plus a reference-count bump per column, and a two-column row
 /// costs 80 bytes instead of a B-tree's 456-byte leaf.
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row {
     columns: Vec<(Arc<str>, Cell)>,
 }
@@ -86,10 +85,7 @@ impl Row {
 
     /// The cell stored under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Cell> {
-        self.columns
-            .iter()
-            .find(|(n, _)| **n == *name)
-            .map(|(_, cell)| cell)
+        self.position(name).ok().map(|i| &self.columns[i].1)
     }
 
     /// The columns in name order.
@@ -97,15 +93,11 @@ impl Row {
         self.columns.iter().map(|(name, cell)| (name, cell))
     }
 
-    /// Where `name` is stored (`Ok`) or would be inserted (`Err`). A forward
-    /// scan that tries the pointer before the bytes: a column written through
-    /// a shared name matches without a string compare.
-    fn position(&self, name: &Arc<str>) -> Result<usize, usize> {
+    /// Where `name` is stored (`Ok`) or would be inserted (`Err`): a forward
+    /// scan that stops at the first name not less than `name`.
+    fn position(&self, name: &str) -> Result<usize, usize> {
         for (i, (stored, _)) in self.columns.iter().enumerate() {
-            if Arc::ptr_eq(stored, name) {
-                return Ok(i);
-            }
-            match (**stored).cmp(&**name) {
+            match (**stored).cmp(name) {
                 Ordering::Less => {}
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => return Err(i),
@@ -227,21 +219,6 @@ impl FromIterator<(Arc<str>, Cell)> for Row {
             row.upsert(&name, &cell.value, cell.timestamp);
         }
         row
-    }
-}
-
-/// Prints the map shape a `BTreeMap` field would: `Row { columns: {..} }`.
-impl fmt::Debug for Row {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Columns<'a>(&'a Row);
-        impl fmt::Debug for Columns<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map().entries(self.0.iter()).finish()
-            }
-        }
-        f.debug_struct("Row")
-            .field("columns", &Columns(self))
-            .finish()
     }
 }
 
@@ -405,34 +382,6 @@ mod tests {
         b.merge_from(&row(&[("f3", "d", 1), ("f0", "y", 1)]));
         let names: Vec<&str> = b.iter().map(|(name, _)| &**name).collect();
         assert_eq!(names, ["f0", "f1", "f3"]);
-    }
-
-    #[test]
-    fn debug_and_json_print_the_columns_as_a_map() {
-        // What `#[derive(Debug)]` printed when the field was a `BTreeMap`.
-        #[derive(Debug)]
-        #[allow(dead_code)] // read only through `Debug`
-        struct Row<'a> {
-            columns: BTreeMap<&'a str, &'a Cell>,
-        }
-        let a = row(&[("f1", "b", 2), ("f0", "a", 1)]);
-        let map = Row {
-            columns: a.iter().map(|(n, c)| (&**n, c)).collect(),
-        };
-        assert_eq!(format!("{a:?}"), format!("{map:?}"));
-        assert_eq!(format!("{a:#?}"), format!("{map:#?}"));
-        let back = super::Row::from_value(&a.to_value()).expect("round trip");
-        assert_eq!(back, a);
-        assert_eq!(
-            a.to_value(),
-            Value::Object(vec![(
-                "columns".to_string(),
-                Value::Object(vec![
-                    ("f0".to_string(), a.get("f0").unwrap().to_value()),
-                    ("f1".to_string(), a.get("f1").unwrap().to_value()),
-                ])
-            )])
-        );
     }
 
     fn reconcile(rows: &[&Arc<Row>]) -> Arc<Row> {

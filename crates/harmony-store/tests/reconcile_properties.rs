@@ -181,8 +181,8 @@ proptest! {
             0..16,
         ),
     ) {
-        // A shared name is one allocation for every write (the pointer
-        // match); otherwise each write brings its own copy of the name.
+        // A shared name is one allocation for every write; otherwise each
+        // write brings its own copy of the name. Both must match by content.
         let pool: Vec<Arc<str>> = (0..6).map(|c| format!("c{c}").into()).collect();
         let mut row = Arc::new(Row::new());
         let mut reference: BTreeMap<Arc<str>, Cell> = BTreeMap::new();

@@ -8,40 +8,23 @@
 # "change" is the working tree this script sits in (uncommitted edits
 # included); "parent" is <parent-rev> exported with `git archive`, so the
 # repository's own .git is never touched. Scratch (the parent checkout and
-# both target directories) goes to a fresh temporary directory that is
-# removed on exit; set AB_BENCH_DIR to keep it and reuse the builds across
-# workloads. Prints one line per pass (the four end-to-end metrics, `correct`
-# and the fastest timed run), then per side the median and quartiles, the
-# pairs won on wall_ops_per_s, and a loud line if any fastest run came within
-# 5 % of the benchmark's 1.0 s run-length floor. For the layer attribution
+# both target directories, laid out by tools/ab_common.sh) goes to a fresh
+# temporary directory that is removed on exit; set AB_BENCH_DIR to keep it
+# and reuse the builds across workloads. Prints one line per pass (the four
+# end-to-end metrics, `correct` and the fastest timed run), then per side the
+# median and quartiles, the pairs won on wall_ops_per_s, and a loud line if
+# any fastest run came within 5 % of the benchmark's 1.0 s run-length floor. For the layer attribution
 # run each side's `benchmark/run.sh --workload W --trace 1` (compare X with X).
 set -euo pipefail
 
-if [ $# -lt 2 ]; then
-    sed -n '2,17p' "$0" >&2
-    exit 2
-fi
+. "$(dirname "${BASH_SOURCE[0]}")/ab_common.sh"
+ab_usage 2 "$@"
 rev="$1"
 workload="$2"
 pairs="${3:-10}"
 seconds="${4:-30}"
 seed="${5:-20120920}"
-
-repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-if [ -n "${AB_BENCH_DIR:-}" ]; then
-    work="$AB_BENCH_DIR"
-    mkdir -p "$work"
-else
-    work="$(mktemp -d "${TMPDIR:-/tmp}/ab_bench.XXXXXX")"
-    trap 'rm -rf "$work"' EXIT
-fi
-
-sha="$(git -C "$repo" rev-parse --verify "$rev^{commit}")"
-parent="$work/parent-$sha"
-if [ ! -d "$parent" ]; then
-    mkdir -p "$parent"
-    git -C "$repo" archive "$sha" | tar -x -C "$parent"
-fi
+ab_setup ab_bench "$rev"
 
 # one_pass <side> <checkout> -> appends "side wall setup allocs peak correct fastest" to $rows
 rows="$(mktemp "$work/rows.XXXXXX")"

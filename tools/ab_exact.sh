@@ -9,35 +9,18 @@
 # working tree this script sits in (uncommitted edits included), "parent" is
 # <parent-rev> exported with `git archive`, each into its own target
 # directory. Scratch goes to a fresh temporary directory removed on exit; set
-# AB_BENCH_DIR to keep it (the layout is ab_bench.sh's, so the two scripts
-# share their builds). For each workload prints the parent's and the
+# AB_BENCH_DIR to keep it (tools/ab_common.sh lays it out for both scripts,
+# so they share their builds). For each workload prints the parent's and the
 # change's `allocs_run` and `peak_bytes` with their deltas, and whether the
 # exact-count fingerprints agree. Exits 1 if any fingerprint differs.
 set -euo pipefail
 
-if [ $# -lt 1 ]; then
-    sed -n '2,15p' "$0" >&2
-    exit 2
-fi
+. "$(dirname "${BASH_SOURCE[0]}")/ab_common.sh"
+ab_usage 1 "$@"
 rev="$1"
 seed="${2:-20120920}"
 workloads="headline lean sharded chaos"
-
-repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-if [ -n "${AB_BENCH_DIR:-}" ]; then
-    work="$AB_BENCH_DIR"
-    mkdir -p "$work"
-else
-    work="$(mktemp -d "${TMPDIR:-/tmp}/ab_exact.XXXXXX")"
-    trap 'rm -rf "$work"' EXIT
-fi
-
-sha="$(git -C "$repo" rev-parse --verify "$rev^{commit}")"
-parent="$work/parent-$sha"
-if [ ! -d "$parent" ]; then
-    mkdir -p "$parent"
-    git -C "$repo" archive "$sha" | tar -x -C "$parent"
-fi
+ab_setup ab_exact "$rev"
 
 # build <side> <checkout>: the same cargo invocation benchmark/run.sh makes.
 build() {
