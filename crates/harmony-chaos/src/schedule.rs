@@ -52,7 +52,8 @@ pub enum FaultEvent {
     SlowNode {
         /// The node to slow down or restore.
         node: NodeId,
-        /// Multiplier on the node's service times (clamped to be positive).
+        /// Multiplier on the node's service times; finite and > 0
+        /// ([`FaultSchedule::try_push`] rejects any other).
         service_factor: f64,
     },
     /// Elastic scale-out: a brand-new node joins at the given location, takes
@@ -107,6 +108,23 @@ pub enum ScheduleError {
         /// The event that was rejected.
         incoming: FaultEvent,
     },
+    /// The time is not a finite number of seconds ≥ 0. Converted as given,
+    /// NaN, a negative time and +∞ would all fire at t = 0.
+    InvalidTime {
+        /// The rejected time, in seconds.
+        at_secs: f64,
+        /// The event that was rejected.
+        incoming: FaultEvent,
+    },
+    /// A [`FaultEvent::SlowNode`] factor that is not finite and > 0. Applied
+    /// as given, NaN, zero or a negative factor would make the node almost
+    /// infinitely fast, and +∞ would make its service times zero.
+    InvalidSlowFactor {
+        /// The node the event would re-speed.
+        node: NodeId,
+        /// The rejected factor.
+        service_factor: f64,
+    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -122,6 +140,18 @@ impl std::fmt::Display for ScheduleError {
                 at.as_secs_f64(),
                 existing.label(),
                 incoming.label()
+            ),
+            ScheduleError::InvalidTime { at_secs, incoming } => write!(
+                f,
+                "{} at t={at_secs}s: a fault time must be finite and >= 0",
+                incoming.label()
+            ),
+            ScheduleError::InvalidSlowFactor {
+                node,
+                service_factor,
+            } => write!(
+                f,
+                "slow({node}, x{service_factor}): a service factor must be finite and > 0"
             ),
         }
     }
@@ -245,9 +275,8 @@ impl FaultSchedule {
     /// In-place form of [`FaultSchedule::then_at`].
     ///
     /// # Panics
-    /// Panics when the event contradicts one already scheduled at the same
-    /// tick (see [`ScheduleError`]); use [`FaultSchedule::try_push`] to
-    /// handle the conflict instead.
+    /// Panics when [`FaultSchedule::try_push`] rejects the event (see
+    /// [`ScheduleError`]); use it to handle the error instead.
     pub fn push(&mut self, at_secs: f64, fault: FaultEvent) {
         self.try_push(at_secs, fault)
             .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
@@ -258,9 +287,29 @@ impl FaultSchedule {
     /// node, a cut and its heal at one instant, or two speed changes of one
     /// node. Equal-time events fire in insertion order, so a contradictory
     /// pair would otherwise resolve silently by last write; the typed error
-    /// surfaces the mistake at build time instead of as a baffling run.
+    /// surfaces the mistake at build time instead of as a baffling run. A
+    /// time that is not finite and ≥ 0, or a slow-down factor that is not
+    /// finite and > 0, is rejected the same way.
     pub fn try_push(&mut self, at_secs: f64, fault: FaultEvent) -> Result<(), ScheduleError> {
-        let at = SimTime::from_secs_f64(at_secs.max(0.0));
+        if !(at_secs.is_finite() && at_secs >= 0.0) {
+            return Err(ScheduleError::InvalidTime {
+                at_secs,
+                incoming: fault,
+            });
+        }
+        if let FaultEvent::SlowNode {
+            node,
+            service_factor,
+        } = fault
+        {
+            if !(service_factor.is_finite() && service_factor > 0.0) {
+                return Err(ScheduleError::InvalidSlowFactor {
+                    node,
+                    service_factor,
+                });
+            }
+        }
+        let at = SimTime::from_secs_f64(at_secs);
         for e in self.events.iter().filter(|e| e.at == at) {
             if conflicts(&e.fault, &fault) {
                 return Err(ScheduleError::ConflictingSameTick {
@@ -457,19 +506,17 @@ mod tests {
         let err = s
             .try_push(1.0, FaultEvent::DecommissionNode { node: NodeId(2) })
             .unwrap_err();
-        match &err {
-            ScheduleError::ConflictingSameTick {
-                at,
-                existing,
-                incoming,
-            } => {
-                assert_eq!(*at, SimTime::from_secs_f64(1.0));
-                assert!(matches!(existing, FaultEvent::CrashNode { node } if *node == NodeId(2)));
-                assert!(
-                    matches!(incoming, FaultEvent::DecommissionNode { node } if *node == NodeId(2))
-                );
-            }
-        }
+        let ScheduleError::ConflictingSameTick {
+            at,
+            existing,
+            incoming,
+        } = &err
+        else {
+            panic!("expected a same-tick conflict, got {err:?}");
+        };
+        assert_eq!(*at, SimTime::from_secs_f64(1.0));
+        assert!(matches!(existing, FaultEvent::CrashNode { node } if *node == NodeId(2)));
+        assert!(matches!(incoming, FaultEvent::DecommissionNode { node } if *node == NodeId(2)));
         assert!(err.to_string().contains("crash(node2)"));
         assert_eq!(s.len(), 1, "the rejected event was not inserted");
 
@@ -545,6 +592,54 @@ mod tests {
         let _ = FaultSchedule::empty()
             .crash_at(1.0, NodeId(0))
             .decommission_at(1.0, NodeId(0));
+    }
+
+    #[test]
+    fn malformed_times_and_slow_factors_are_rejected() {
+        let crash = FaultEvent::CrashNode { node: NodeId(0) };
+        let slow = |service_factor| FaultEvent::SlowNode {
+            node: NodeId(1),
+            service_factor,
+        };
+        for at in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut s = FaultSchedule::empty();
+            let err = s.try_push(at, crash.clone()).unwrap_err();
+            assert!(
+                matches!(err, ScheduleError::InvalidTime { at_secs, .. }
+                    if at_secs.to_bits() == at.to_bits()),
+                "time {at}: {err:?}"
+            );
+            assert!(err.to_string().contains("finite and >= 0"), "{err}");
+            assert!(s.is_empty(), "time {at} was inserted");
+        }
+        for factor in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let mut s = FaultSchedule::empty();
+            let err = s.try_push(1.0, slow(factor)).unwrap_err();
+            assert!(
+                matches!(err, ScheduleError::InvalidSlowFactor { node, service_factor }
+                    if node == NodeId(1) && service_factor.to_bits() == factor.to_bits()),
+                "factor {factor}: {err:?}"
+            );
+            assert!(err.to_string().contains("finite and > 0"), "{err}");
+            assert!(s.is_empty(), "factor {factor} was inserted");
+        }
+        let mut s = FaultSchedule::empty();
+        for at in [0.0, 0.5] {
+            s.try_push(at, crash.clone()).unwrap();
+            s.try_push(at + 1.0, FaultEvent::RestartNode { node: NodeId(0) })
+                .unwrap();
+        }
+        for (i, factor) in [0.5, 1.0, 4.0].into_iter().enumerate() {
+            s.try_push(i as f64, slow(factor)).unwrap();
+        }
+        assert_eq!(s.len(), 7);
+        assert_eq!(s.events()[0].at, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault schedule")]
+    fn infallible_push_panics_on_a_malformed_time() {
+        let _ = FaultSchedule::empty().crash_at(f64::NAN, NodeId(0));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Per-node storage engine: one row map per replica.
 //!
 //! Every replica keeps its rows in a single sorted map keyed by [`KeyId`],
-//! each row a shared, flat, name-sorted column vector ([`Row`]). A write
-//! upserts its columns with per-column last-write-wins (ties keep the stored
+//! each row a shared, flat, name-sorted cell vector ([`Row`]). A write
+//! upserts its fields with per-column last-write-wins (ties keep the stored
 //! cell); a repair row merges the same way. A row costs one `Arc` and one
-//! exactly sized vector of 40 bytes per column, so a `lean` replica row of
-//! two columns is 40 + 80 bytes of heap. The cost of the paper's Cassandra
-//! write path (§II.B) comes from the store's service model, not from this
-//! structure.
+//! exactly sized vector of 16-byte cells, each a pointer to the written
+//! field (name and payload, shared with the mutation and every other
+//! replica) plus its timestamp, so a `lean` replica row of two columns is
+//! 40 + 32 bytes of heap and a ten-column `headline` row 40 + 160. The cost
+//! of the paper's Cassandra write path (§II.B) comes from the store's
+//! service model, not from this structure.
 
 use crate::keys::KeyId;
 use crate::types::{Mutation, Row, Timestamp};
@@ -49,15 +51,15 @@ impl StorageEngine {
         // A new row is sized to the mutation, so loading a record is one
         // exact allocation. `make_mut` clones only if a read response still
         // shares this row — exactly the copy-on-write a shared store needs,
-        // and a copy of the column vector's pointers (one allocation of the
-        // same size), not of the payloads behind them.
+        // and a copy of the cell vector (one allocation of the same size, a
+        // reference-count bump per cell), not of the fields behind it.
         let row = self
             .rows
             .entry(key)
             .or_insert_with(|| Arc::new(Row::with_capacity(mutation.len())));
         let row = Arc::make_mut(row);
-        for (name, value) in &mutation.columns {
-            row.upsert(name, value, timestamp);
+        for field in mutation.fields() {
+            row.upsert(field, timestamp);
         }
     }
 
@@ -90,14 +92,14 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Cell;
+    use crate::types::{Cell, Field};
 
     fn mutation(col: &str, val: &str) -> Mutation {
         Mutation::single(col, val.as_bytes().to_vec())
     }
 
     fn value_of(row: &Row, col: &str) -> String {
-        String::from_utf8(row.get(col).unwrap().value.to_vec()).unwrap()
+        String::from_utf8(row.get(col).unwrap().value().to_vec()).unwrap()
     }
 
     #[test]
@@ -156,9 +158,12 @@ mod tests {
     fn apply_row_merges_for_read_repair() {
         let mut e = StorageEngine::default();
         e.apply(KeyId(0), &mutation("f", "local"), Timestamp(1));
-        let repair: Row = [("f".into(), Cell::new(b"repaired".to_vec(), Timestamp(9)))]
-            .into_iter()
-            .collect();
+        let repair: Row = [Cell {
+            field: Field::shared("f", b"repaired".to_vec()),
+            timestamp: Timestamp(9),
+        }]
+        .into_iter()
+        .collect();
         e.apply_row(KeyId(0), &repair);
         assert_eq!(value_of(&e.get(KeyId(0)).unwrap(), "f"), "repaired");
         // Empty repair rows are ignored entirely: no row appears for them.
@@ -188,14 +193,35 @@ mod tests {
         a.apply(KeyId(0), &record, Timestamp(1));
         b.apply(KeyId(0), &record, Timestamp(1));
         let (row_a, row_b) = (a.get(KeyId(0)).unwrap(), b.get(KeyId(0)).unwrap());
-        for (name, payload) in &record.columns {
-            // One allocation behind the mutation and both replicas' cells.
-            assert!(Arc::ptr_eq(&row_a.get(name).unwrap().value, payload));
-            assert!(Arc::ptr_eq(&row_b.get(name).unwrap().value, payload));
-        }
+        // One field behind the mutation and every cell of both replicas: no
+        // name or payload is copied.
+        let shares_the_record = |row: &Row| {
+            row.len() == record.len()
+                && row
+                    .iter()
+                    .zip(record.fields())
+                    .all(|((_, cell), field)| Arc::ptr_eq(&cell.field, field))
+        };
+        assert!(shares_the_record(&row_a) && shares_the_record(&row_b));
+        // A write while a reader holds the row clones the row's cells, which
+        // still share the record's fields: only the written column changes.
         a.apply(KeyId(0), &mutation("field0", "updated"), Timestamp(2));
-        assert_eq!(value_of(&a.get(KeyId(0)).unwrap(), "field0"), "updated");
+        let updated = a.get(KeyId(0)).unwrap();
+        assert!(!Arc::ptr_eq(&updated, &row_a));
+        assert_eq!(value_of(&updated, "field0"), "updated");
+        for (name, cell) in updated.iter().filter(|(name, _)| *name != "field0") {
+            assert!(Arc::ptr_eq(&cell.field, &row_a.get(name).unwrap().field));
+        }
         assert_eq!(b.get(KeyId(0)).unwrap(), row_b);
+        // Re-applying the record while a reader holds the row clones the
+        // row, changes nothing (ties keep the stored cell), and the clone
+        // still shares every field.
+        b.apply(KeyId(0), &record, Timestamp(1));
+        let reloaded = b.get(KeyId(0)).unwrap();
+        assert!(!Arc::ptr_eq(&reloaded, &row_b));
+        assert!(shares_the_record(&reloaded));
+        assert_eq!(reloaded, row_b);
+        assert!(shares_the_record(&row_a) && shares_the_record(&row_b));
         assert_eq!(b.digest(KeyId(0)), Some(Timestamp(1)));
         assert_eq!(a.digest(KeyId(0)), Some(Timestamp(2)));
     }

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::messages::{Message, OpId, OpKind, StoreEvent};
     pub use crate::placement::{PlacementCache, ReplicaSet, ReplicationStrategy, MAX_RF};
     pub use crate::shard::ShardPartition;
-    pub use crate::types::{Cell, Key, Mutation, Row, Timestamp};
+    pub use crate::types::{Cell, Field, Key, Mutation, Row, Timestamp};
 }
 
 pub use cluster::{Cluster, Completion};
@@ -82,4 +82,4 @@ pub use consistency::ConsistencyLevel;
 pub use keys::{KeyId, KeyTable};
 pub use machine::{HarmonyMachine, MachineEvent, OnEvent, ProtocolTimer};
 pub use messages::{OpId, OpKind, StoreEvent};
-pub use types::{Mutation, Row, Timestamp};
+pub use types::{Field, Mutation, Row, Timestamp};

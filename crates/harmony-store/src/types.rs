@@ -7,14 +7,15 @@
 //! read returning a cell whose timestamp is older than the latest acknowledged
 //! write for that key.
 //!
-//! Payloads and column names are immutable and *shared by reference*
-//! (`Arc<[u8]>`, `Arc<str>`): the replicas of a record, the mutation that
-//! wrote it and every row handed to a reader point at one allocation, so
+//! A column's name and payload are written once, as one immutable [`Field`],
+//! and *shared by reference*: the replicas of a record, the mutation that
+//! wrote it and every row handed to a reader point at one `Arc<Field>`, so
 //! applying, reconciling and copy-on-write cloning move pointers, not bytes.
-//! A [`Row`] keeps its columns in one name-sorted vector rather than a map:
-//! rows are a handful of columns, which a forward scan searches as fast as a
-//! tree, and a flat vector makes each row, and each copy-on-write clone of
-//! it, a single exactly sized allocation of 40 bytes per column.
+//! A stored column, a [`Cell`], is that pointer plus its write timestamp:
+//! 16 bytes. A [`Row`] keeps its cells in one name-sorted vector rather than
+//! a map: rows are a handful of columns, which a forward scan searches as
+//! fast as a tree, and a flat vector makes each row, and each copy-on-write
+//! clone of it, a single exactly sized allocation of 16 bytes per column.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
@@ -38,36 +39,59 @@ impl Timestamp {
     pub const ZERO: Timestamp = Timestamp(0);
 }
 
-/// A single column value plus its write timestamp.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// A written column: its name and payload, immutable once made and held as
+/// an `Arc<Field>` by the mutation and every cell that stores it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Field {
+    /// The column name.
+    pub name: Box<str>,
+    /// The column payload.
+    pub value: Box<[u8]>,
+}
+
+impl Field {
+    /// A shared field holding `name` and `value`.
+    pub fn shared(name: impl Into<Box<str>>, value: impl Into<Box<[u8]>>) -> Arc<Field> {
+        Arc::new(Field {
+            name: name.into(),
+            value: value.into(),
+        })
+    }
+}
+
+/// A stored column: a shared field plus its write timestamp.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// The column payload, shared with every other holder of this write.
-    pub value: Arc<[u8]>,
+    /// The column name and payload, shared with every other holder of this
+    /// write.
+    pub field: Arc<Field>,
     /// The timestamp assigned by the coordinating node at write time.
     pub timestamp: Timestamp,
 }
 
 impl Cell {
-    /// Creates a cell.
-    pub fn new(value: Vec<u8>, timestamp: Timestamp) -> Self {
-        Cell {
-            value: value.into(),
-            timestamp,
-        }
+    /// The column name.
+    pub fn name(&self) -> &str {
+        &self.field.name
+    }
+
+    /// The column payload.
+    pub fn value(&self) -> &[u8] {
+        &self.field.value
     }
 }
 
 /// A row: a set of named columns, each carrying its own timestamp.
 ///
-/// The columns are one flat vector of `(name, cell)` pairs, sorted by name
-/// with every name once. Rows hold a handful of columns (YCSB's default is
-/// ten), so a forward scan finds a column as fast as a tree would, and the
-/// whole row is one exactly sized allocation: a copy-on-write clone is one
-/// allocation plus a reference-count bump per column, and a two-column row
-/// costs 80 bytes instead of a B-tree's 456-byte leaf.
+/// The cells are one flat vector sorted by name with every name once. Rows
+/// hold a handful of columns (YCSB's default is ten), so a forward scan
+/// finds a column as fast as a tree would, and the whole row is one exactly
+/// sized allocation: a copy-on-write clone is one allocation plus a
+/// reference-count bump per column, and a two-column row costs 32 bytes
+/// instead of a B-tree's 456-byte leaf.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row {
-    columns: Vec<(Arc<str>, Cell)>,
+    cells: Vec<Cell>,
 }
 
 impl Row {
@@ -79,45 +103,45 @@ impl Row {
     /// An empty row with room for `columns` columns.
     pub(crate) fn with_capacity(columns: usize) -> Self {
         Row {
-            columns: Vec::with_capacity(columns),
+            cells: Vec::with_capacity(columns),
         }
     }
 
     /// The cell stored under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Cell> {
-        self.position(name).ok().map(|i| &self.columns[i].1)
+        self.position(name).ok().map(|i| &self.cells[i])
     }
 
     /// The columns in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Cell)> {
-        self.columns.iter().map(|(name, cell)| (name, cell))
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Cell)> {
+        self.cells.iter().map(|cell| (cell.name(), cell))
     }
 
     /// Where `name` is stored (`Ok`) or would be inserted (`Err`): a forward
     /// scan that stops at the first name not less than `name`.
     fn position(&self, name: &str) -> Result<usize, usize> {
-        for (i, (stored, _)) in self.columns.iter().enumerate() {
-            match (**stored).cmp(name) {
+        for (i, cell) in self.cells.iter().enumerate() {
+            match cell.name().cmp(name) {
                 Ordering::Less => {}
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => return Err(i),
             }
         }
-        Err(self.columns.len())
+        Err(self.cells.len())
     }
 
     /// Upserts one column, keeping the stored cell unless `timestamp` is
     /// strictly newer (last-write-wins, ties to the incumbent). Shares
-    /// `name` and `value`; copies neither.
-    pub fn upsert(&mut self, name: &Arc<str>, value: &Arc<[u8]>, timestamp: Timestamp) {
+    /// `field`; copies neither its name nor its payload.
+    pub fn upsert(&mut self, field: &Arc<Field>, timestamp: Timestamp) {
         let cell = || Cell {
-            value: Arc::clone(value),
+            field: Arc::clone(field),
             timestamp,
         };
-        match self.position(name) {
-            Ok(i) if self.columns[i].1.timestamp >= timestamp => {}
-            Ok(i) => self.columns[i].1 = cell(),
-            Err(i) => self.columns.insert(i, (Arc::clone(name), cell())),
+        match self.position(&field.name) {
+            Ok(i) if self.cells[i].timestamp >= timestamp => {}
+            Ok(i) => self.cells[i] = cell(),
+            Err(i) => self.cells.insert(i, cell()),
         }
     }
 
@@ -126,22 +150,26 @@ impl Row {
     pub fn merge_from(&mut self, other: &Row) {
         // Growing by the difference in length sizes a fresh row exactly; a
         // row holding every name of `other` does not grow.
-        self.columns
+        self.cells
             .reserve_exact(other.len().saturating_sub(self.len()));
         // One merge-join over the two sorted vectors: a shared name keeps
         // the newer cell, a name only `other` holds is spliced in.
         let mut i = 0;
-        for (name, cell) in &other.columns {
-            while self.columns.get(i).is_some_and(|(stored, _)| stored < name) {
+        for cell in &other.cells {
+            while self
+                .cells
+                .get(i)
+                .is_some_and(|stored| stored.name() < cell.name())
+            {
                 i += 1;
             }
-            match self.columns.get_mut(i) {
-                Some((stored, existing)) if stored == name => {
+            match self.cells.get_mut(i) {
+                Some(existing) if existing.name() == cell.name() => {
                     if existing.timestamp < cell.timestamp {
                         *existing = cell.clone();
                     }
                 }
-                _ => self.columns.insert(i, (Arc::clone(name), cell.clone())),
+                _ => self.cells.insert(i, cell.clone()),
             }
             i += 1;
         }
@@ -152,10 +180,10 @@ impl Row {
     /// (`Timestamp::ge`) the other's.
     fn covers(&self, other: &Row, newer: fn(&Timestamp, &Timestamp) -> bool) -> bool {
         // Both vectors are sorted by name: one forward walk joins them.
-        let mut mine = self.columns.iter();
-        other.columns.iter().all(|(name, cell)| {
-            mine.find(|(candidate, _)| candidate >= name)
-                .is_some_and(|(found, c)| found == name && newer(&c.timestamp, &cell.timestamp))
+        let mut mine = self.cells.iter();
+        other.cells.iter().all(|cell| {
+            mine.find(|candidate| candidate.name() >= cell.name())
+                .is_some_and(|c| c.name() == cell.name() && newer(&c.timestamp, &cell.timestamp))
         })
     }
 
@@ -191,32 +219,32 @@ impl Row {
     /// empty row. This is the value the paper's dual-read staleness check
     /// compares between a weak and a strong read.
     pub fn latest_timestamp(&self) -> Timestamp {
-        self.columns
+        self.cells
             .iter()
-            .map(|(_, c)| c.timestamp)
+            .map(|c| c.timestamp)
             .max()
             .unwrap_or(Timestamp::ZERO)
     }
 
     /// Number of columns.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.cells.len()
     }
 
     /// True if the row holds no columns.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.cells.is_empty()
     }
 }
 
-/// Collects columns into a row; a name given twice keeps the newer cell
+/// Collects cells into a row; a name given twice keeps the newer cell
 /// (the earlier one on a tie), as [`Row::upsert`] does.
-impl FromIterator<(Arc<str>, Cell)> for Row {
-    fn from_iter<I: IntoIterator<Item = (Arc<str>, Cell)>>(columns: I) -> Self {
-        let columns = columns.into_iter();
-        let mut row = Row::with_capacity(columns.size_hint().0);
-        for (name, cell) in columns {
-            row.upsert(&name, &cell.value, cell.timestamp);
+impl FromIterator<Cell> for Row {
+    fn from_iter<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
+        let cells = cells.into_iter();
+        let mut row = Row::with_capacity(cells.size_hint().0);
+        for cell in cells {
+            row.upsert(&cell.field, cell.timestamp);
         }
         row
     }
@@ -224,71 +252,102 @@ impl FromIterator<(Arc<str>, Cell)> for Row {
 
 /// A write: the set of columns to upsert on a key. The coordinator stamps the
 /// mutation with a single timestamp when it accepts the operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mutation {
-    /// Column name to new value.
-    pub columns: BTreeMap<Arc<str>, Arc<[u8]>>,
+    /// The fields to write, sorted by name with every name once.
+    fields: Vec<Arc<Field>>,
 }
 
 impl Mutation {
     /// A mutation setting a single column.
     pub fn single(column: impl Into<String>, value: Vec<u8>) -> Self {
-        let mut columns = BTreeMap::new();
-        columns.insert(column.into().into(), value.into());
-        Mutation { columns }
+        Mutation {
+            fields: vec![Field::shared(column.into(), value)],
+        }
     }
 
     /// A mutation setting several columns at once.
     pub fn multi(columns: BTreeMap<String, Vec<u8>>) -> Self {
-        let columns = columns
+        let fields = columns
             .into_iter()
-            .map(|(name, value)| (name.into(), value.into()))
+            .map(|(name, value)| Field::shared(name, value))
             .collect();
-        Mutation { columns }
+        Mutation { fields }
     }
 
     /// Generates a YCSB-style mutation with `fields` columns named
     /// `field0..fieldN`, each `field_size` bytes of filler.
     pub fn ycsb_row(fields: usize, field_size: usize) -> Self {
-        let filler: Arc<[u8]> = vec![b'x'; field_size].into();
-        let columns = (0..fields)
-            .map(|i| (format!("field{i}").into(), Arc::clone(&filler)))
-            .collect();
-        Mutation { columns }
+        let filler = vec![b'x'; field_size];
+        Mutation::multi(
+            (0..fields)
+                .map(|i| (format!("field{i}"), filler.clone()))
+                .collect(),
+        )
+    }
+
+    /// The fields written, in name order.
+    pub fn fields(&self) -> &[Arc<Field>] {
+        &self.fields
     }
 
     /// Applies this mutation at `timestamp`, producing the cells to store.
     pub fn into_row(self, timestamp: Timestamp) -> Row {
-        self.columns
+        self.fields
             .into_iter()
-            .map(|(name, value)| (name, Cell { value, timestamp }))
+            .map(|field| Cell { field, timestamp })
             .collect()
     }
 
     /// Number of columns touched.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.fields.len()
     }
 
     /// True if the mutation touches no columns.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.fields.is_empty()
     }
 }
 
-// Serialisation keeps the owned-bytes JSON shape (`{"columns":{"f":{"value":
-// [..],"timestamp":1}}}`) that checker counterexample traces are stored in:
-// `Serialize` writes it directly (`Arc<str>` keys print, `Arc<[u8]>` is a
-// sequence, a row's column vector is an object in name order);
-// `Deserialize` reads the owned wire form and shares it.
+// Serialisation keeps the owned-bytes JSON shape that checker counterexample
+// traces are stored in: a cell is `{"value":[..],"timestamp":1}`, a row
+// `{"columns":{"f":<cell>}}` and a mutation `{"columns":{"f":[..]}}`, each
+// object in name order. `Serialize` writes it directly; `Deserialize` reads
+// the owned wire form and shares it.
+
+impl Serialize for Cell {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("value".to_string(), self.value().to_value()),
+            ("timestamp".to_string(), self.timestamp.to_value()),
+        ])
+    }
+}
+
+/// `{"columns":{..}}` over name-ordered `(name, value)` entries.
+fn columns_object(columns: Vec<(String, Value)>) -> Value {
+    Value::Object(vec![("columns".to_string(), Value::Object(columns))])
+}
 
 impl Serialize for Row {
     fn to_value(&self) -> Value {
-        let columns = self
-            .iter()
-            .map(|(name, cell)| (name.to_string(), cell.to_value()))
-            .collect();
-        Value::Object(vec![("columns".to_string(), Value::Object(columns))])
+        columns_object(
+            self.iter()
+                .map(|(name, cell)| (name.to_string(), cell.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl Serialize for Mutation {
+    fn to_value(&self) -> Value {
+        columns_object(
+            self.fields
+                .iter()
+                .map(|f| (f.name.to_string(), f.value.to_value()))
+                .collect(),
+        )
     }
 }
 
@@ -300,7 +359,7 @@ struct CellWire {
 
 #[derive(Deserialize)]
 struct RowWire {
-    columns: BTreeMap<String, Cell>,
+    columns: BTreeMap<String, CellWire>,
 }
 
 #[derive(Deserialize)]
@@ -308,16 +367,16 @@ struct MutationWire {
     columns: BTreeMap<String, Vec<u8>>,
 }
 
-impl Deserialize for Cell {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        CellWire::from_value(v).map(|w| Cell::new(w.value, w.timestamp))
-    }
-}
-
 impl Deserialize for Row {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let columns = RowWire::from_value(v)?.columns;
-        Ok(columns.into_iter().map(|(k, c)| (k.into(), c)).collect())
+        Ok(columns
+            .into_iter()
+            .map(|(name, c)| Cell {
+                field: Field::shared(name, c.value),
+                timestamp: c.timestamp,
+            })
+            .collect())
     }
 }
 
@@ -331,14 +390,17 @@ impl Deserialize for Mutation {
 mod tests {
     use super::*;
 
-    fn cell(v: &str, ts: u64) -> Cell {
-        Cell::new(v.as_bytes().to_vec(), Timestamp(ts))
+    fn cell(name: &str, v: &str, ts: u64) -> Cell {
+        Cell {
+            field: Field::shared(name, v.as_bytes()),
+            timestamp: Timestamp(ts),
+        }
     }
 
     fn row(cells: &[(&str, &str, u64)]) -> Row {
         cells
             .iter()
-            .map(|&(name, value, ts)| (name.into(), cell(value, ts)))
+            .map(|&(name, value, ts)| cell(name, value, ts))
             .collect()
     }
 
@@ -351,9 +413,9 @@ mod tests {
         let mut a = row(&[("f0", "old", 1), ("f1", "keep", 9)]);
         let b = row(&[("f0", "new", 5), ("f1", "stale", 2), ("f2", "added", 3)]);
         a.merge_from(&b);
-        assert_eq!(a.get("f0"), Some(&cell("new", 5)));
-        assert_eq!(a.get("f1"), Some(&cell("keep", 9)));
-        assert_eq!(a.get("f2"), Some(&cell("added", 3)));
+        assert_eq!(a.get("f0"), Some(&cell("f0", "new", 5)));
+        assert_eq!(a.get("f1"), Some(&cell("f1", "keep", 9)));
+        assert_eq!(a.get("f2"), Some(&cell("f2", "added", 3)));
         assert_eq!(a.latest_timestamp(), Timestamp(9));
     }
 
@@ -362,7 +424,7 @@ mod tests {
         let mut a = row(&[("f0", "mine", 5)]);
         let b = row(&[("f0", "theirs", 5)]);
         a.merge_from(&b);
-        assert_eq!(a.get("f0"), Some(&cell("mine", 5)));
+        assert_eq!(a.get("f0"), Some(&cell("f0", "mine", 5)));
     }
 
     #[test]
@@ -373,14 +435,14 @@ mod tests {
             ("f1", "b", 1),
             ("f0", "z", 0),
         ]);
-        let names: Vec<&str> = a.iter().map(|(name, _)| &**name).collect();
+        let names: Vec<&str> = a.iter().map(|(name, _)| name).collect();
         assert_eq!(names, ["f0", "f1", "f2"]);
         assert_eq!(a, row(&[("f0", "a", 1), ("f1", "b", 1), ("f2", "c", 1)]));
         assert_eq!(a.get("f3"), None);
         // A merge splices absent names in at their place in the order.
         let mut b = row(&[("f1", "x", 2)]);
         b.merge_from(&row(&[("f3", "d", 1), ("f0", "y", 1)]));
-        let names: Vec<&str> = b.iter().map(|(name, _)| &**name).collect();
+        let names: Vec<&str> = b.iter().map(|(name, _)| name).collect();
         assert_eq!(names, ["f0", "f1", "f3"]);
     }
 
@@ -434,10 +496,14 @@ mod tests {
         let merged = reconcile(&[&a, &b]);
         assert!(!Arc::ptr_eq(&merged, &a) && !Arc::ptr_eq(&merged, &b));
         assert_eq!(merged, shared(&[("f0", "b0", 7), ("f1", "a1", 5)]));
-        // The fresh row shares the winning payloads instead of copying them.
+        // The fresh row shares the winning fields instead of copying them.
         assert!(Arc::ptr_eq(
-            &merged.get("f0").unwrap().value,
-            &b.get("f0").unwrap().value
+            &merged.get("f0").unwrap().field,
+            &b.get("f0").unwrap().field
+        ));
+        assert!(Arc::ptr_eq(
+            &merged.get("f1").unwrap().field,
+            &a.get("f1").unwrap().field
         ));
         // Disjoint column sets interleave too; later rows keep merging in.
         let c = shared(&[("f2", "c2", 2)]);
@@ -465,16 +531,18 @@ mod tests {
         assert_eq!(row.len(), 3);
         for (_, c) in row.iter() {
             assert_eq!(c.timestamp, Timestamp(42));
-            assert_eq!(c.value.len(), 10);
+            assert_eq!(c.value().len(), 10);
         }
         assert_eq!(row.latest_timestamp(), Timestamp(42));
-        // Rows built from one mutation share its payloads.
+        // Rows built from one mutation share its fields.
         let m = Mutation::single("f", vec![7; 4]);
         let (a, b) = (m.clone().into_row(Timestamp(1)), m.into_row(Timestamp(2)));
         assert!(Arc::ptr_eq(
-            &a.get("f").unwrap().value,
-            &b.get("f").unwrap().value
+            &a.get("f").unwrap().field,
+            &b.get("f").unwrap().field
         ));
+        assert_eq!(a.get("f").unwrap().name(), "f");
+        assert_eq!(a.get("f").unwrap().value(), [7; 4]);
     }
 
     #[test]
@@ -487,6 +555,24 @@ mod tests {
         cols.insert("b".to_string(), vec![0u8; 6]);
         let m = Mutation::multi(cols);
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn a_ycsb_row_is_name_sorted() {
+        // `field10` sorts before `field2`: the fields are in name order, not
+        // in index order.
+        let m = Mutation::ycsb_row(12, 1);
+        let names: Vec<&str> = m.fields().iter().map(|f| &*f.name).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert_eq!(names.len(), 12);
+        assert_eq!(m.into_row(Timestamp(1)).iter().count(), 12);
+    }
+
+    #[test]
+    fn a_cell_is_a_pointer_and_a_timestamp() {
+        // 16 bytes per stored column: the shared field's pointer and the
+        // write timestamp, with no name or payload pointer of its own.
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
     }
 
     #[test]

@@ -9,31 +9,39 @@
 
 use harmony_store::engine::StorageEngine;
 use harmony_store::keys::KeyId;
-use harmony_store::types::{Cell, Mutation, Row, Timestamp};
+use harmony_store::types::{Cell, Field, Mutation, Row, Timestamp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A row's columns in its own order.
-fn columns(row: &Row) -> Vec<(Arc<str>, Cell)> {
+/// A row's columns in its own order, each with its name.
+fn columns(row: &Row) -> Vec<(String, Cell)> {
     row.iter()
-        .map(|(name, cell)| (Arc::clone(name), cell.clone()))
+        .map(|(name, cell)| (name.to_string(), cell.clone()))
         .collect()
 }
 
 /// A reference map's columns in name order.
-fn flatten(reference: BTreeMap<Arc<str>, Cell>) -> Vec<(Arc<str>, Cell)> {
+fn flatten(reference: BTreeMap<String, Cell>) -> Vec<(String, Cell)> {
     reference.into_iter().collect()
+}
+
+/// A cell writing `value` to column `c{column}` at `ts`, in a field of its own.
+fn cell(column: u8, value: Vec<u8>, ts: u64) -> Cell {
+    Cell {
+        field: Field::shared(format!("c{column}"), value),
+        timestamp: Timestamp(ts),
+    }
 }
 
 /// The reference rule for one column: the stored cell stands unless the
 /// offered one is strictly newer (last-write-wins, ties to the incumbent).
-fn reference_upsert(reference: &mut BTreeMap<Arc<str>, Cell>, name: &Arc<str>, cell: &Cell) {
-    match reference.get_mut(name) {
+fn reference_upsert(reference: &mut BTreeMap<String, Cell>, cell: &Cell) {
+    match reference.get_mut(cell.name()) {
         Some(stored) if stored.timestamp >= cell.timestamp => {}
         Some(stored) => *stored = cell.clone(),
         None => {
-            reference.insert(Arc::clone(name), cell.clone());
+            reference.insert(cell.name().to_string(), cell.clone());
         }
     }
 }
@@ -41,8 +49,8 @@ fn reference_upsert(reference: &mut BTreeMap<Arc<str>, Cell>, name: &Arc<str>, c
 /// True when `mine` holds every column of `theirs` with a timestamp that
 /// passes `newer` against it.
 fn reference_covers(
-    mine: &BTreeMap<Arc<str>, Cell>,
-    theirs: &BTreeMap<Arc<str>, Cell>,
+    mine: &BTreeMap<String, Cell>,
+    theirs: &BTreeMap<String, Cell>,
     newer: fn(&Timestamp, &Timestamp) -> bool,
 ) -> bool {
     theirs.iter().all(|(name, cell)| {
@@ -75,10 +83,7 @@ proptest! {
                 // wrong row changes the content compared below.
                 let row: Row = spec
                     .iter()
-                    .map(|&(column, ts)| {
-                        let value = format!("r{i}c{column}t{ts}").into_bytes();
-                        (format!("c{column}").into(), Cell::new(value, Timestamp(ts)))
-                    })
+                    .map(|&(column, ts)| cell(column, format!("r{i}c{column}t{ts}").into_bytes(), ts))
                     .collect();
                 Arc::new(row)
             })
@@ -125,7 +130,7 @@ proptest! {
                 1 => {
                     let row: Row = columns
                         .iter()
-                        .map(|&(c, cts)| (format!("c{c}").into(), Cell::new(value(c), Timestamp(cts))))
+                        .map(|&(c, cts)| cell(c, value(c), cts))
                         .collect();
                     engine.apply_row(KeyId(key), &row);
                     // `apply_row` ignores an empty row.
@@ -152,7 +157,7 @@ proptest! {
                         let cells = rows.iter().filter_map(|r| r.get(name));
                         let winner =
                             cells.reduce(|a, b| if b.timestamp > a.timestamp { b } else { a });
-                        (Arc::clone(name), winner.cloned().unwrap())
+                        (name.to_string(), winner.cloned().unwrap())
                     })
                     .collect::<BTreeMap<_, _>>()
             });
@@ -171,7 +176,7 @@ proptest! {
 proptest! {
     #[test]
     fn flat_rows_match_a_btreemap_reference_fold(
-        // Per step: (path, (column, timestamp, shared name) triples in
+        // Per step: (path, (column, timestamp, pooled field) triples in
         // insertion order). Path 0 upserts the triples one by one, path 1
         // merges them in as a row with `merge_from`, path 2 reconciles the
         // current row with that row through `merge_shared`. Six names and
@@ -181,45 +186,44 @@ proptest! {
             0..16,
         ),
     ) {
-        // A shared name is one allocation for every write; otherwise each
-        // write brings its own copy of the name. Both must match by content.
-        let pool: Vec<Arc<str>> = (0..6).map(|c| format!("c{c}").into()).collect();
+        // A pooled field is one allocation that every write of its column
+        // reuses at a fresh timestamp, as the runner re-applies its prebuilt
+        // update mutations; otherwise each write brings a field of its own.
+        // Both must match by content and by identity.
+        let pool: Vec<Arc<Field>> =
+            (0..6).map(|c| Field::shared(format!("c{c}"), format!("p{c}").into_bytes())).collect();
         let mut row = Arc::new(Row::new());
-        let mut reference: BTreeMap<Arc<str>, Cell> = BTreeMap::new();
+        let mut reference: BTreeMap<String, Cell> = BTreeMap::new();
         for (i, (path, triples)) in steps.into_iter().enumerate() {
-            let cells: Vec<(Arc<str>, Cell)> = triples
+            let cells: Vec<Cell> = triples
                 .iter()
                 .enumerate()
-                .map(|(j, &(c, ts, shared))| {
-                    let name = if shared == 1 {
-                        Arc::clone(&pool[c as usize])
+                .map(|(j, &(c, ts, pooled))| {
+                    if pooled == 1 {
+                        Cell { field: Arc::clone(&pool[c as usize]), timestamp: Timestamp(ts) }
                     } else {
-                        format!("c{c}").into()
-                    };
-                    // The payload names its write, so a tie resolved towards
-                    // the wrong cell changes the content compared below.
-                    (name, Cell::new(format!("s{i}w{j}").into_bytes(), Timestamp(ts)))
+                        // The payload names its write, so a tie resolved
+                        // towards the wrong cell changes the content
+                        // compared below.
+                        cell(c, format!("s{i}w{j}").into_bytes(), ts)
+                    }
                 })
                 .collect();
-            let mut offered: BTreeMap<Arc<str>, Cell> = BTreeMap::new();
-            cells
-                .iter()
-                .for_each(|(name, cell)| reference_upsert(&mut offered, name, cell));
+            let mut offered: BTreeMap<String, Cell> = BTreeMap::new();
+            cells.iter().for_each(|cell| reference_upsert(&mut offered, cell));
             match path {
                 0 => {
                     let target = Arc::make_mut(&mut row);
-                    for (name, cell) in &cells {
-                        target.upsert(name, &cell.value, cell.timestamp);
-                        reference_upsert(&mut reference, name, cell);
+                    for cell in &cells {
+                        target.upsert(&cell.field, cell.timestamp);
+                        reference_upsert(&mut reference, cell);
                     }
                 }
                 1 => {
                     let other: Row = cells.into_iter().collect();
                     prop_assert_eq!(columns(&other), flatten(offered.clone()));
                     Arc::make_mut(&mut row).merge_from(&other);
-                    offered
-                        .iter()
-                        .for_each(|(name, cell)| reference_upsert(&mut reference, name, cell));
+                    offered.values().for_each(|cell| reference_upsert(&mut reference, cell));
                 }
                 _ => {
                     let other: Arc<Row> = Arc::new(cells.into_iter().collect());
@@ -233,18 +237,22 @@ proptest! {
                     } else {
                         prop_assert!(!Arc::ptr_eq(&merged, &row) && !Arc::ptr_eq(&merged, &other));
                     }
-                    offered
-                        .iter()
-                        .for_each(|(name, cell)| reference_upsert(&mut reference, name, cell));
+                    offered.values().for_each(|cell| reference_upsert(&mut reference, cell));
                     row = merged;
                 }
             }
-            let names: Vec<&str> = row.iter().map(|(name, _)| &**name).collect();
+            let names: Vec<&str> = row.iter().map(|(name, _)| name).collect();
             prop_assert!(names.windows(2).all(|w| w[0] < w[1]), "names {:?}", names);
             prop_assert_eq!(columns(&row), flatten(reference.clone()));
+            // Every stored cell is the written field itself, never a copy.
+            let shared = row
+                .iter()
+                .zip(reference.values())
+                .all(|((_, stored), written)| Arc::ptr_eq(&stored.field, &written.field));
+            prop_assert!(shared);
             prop_assert_eq!(row.len(), reference.len());
-            for name in &pool {
-                prop_assert_eq!(row.get(name), reference.get(name));
+            for field in &pool {
+                prop_assert_eq!(row.get(&field.name), reference.get(&*field.name));
             }
             let newest = reference.values().map(|c| c.timestamp).max();
             prop_assert_eq!(row.latest_timestamp(), newest.unwrap_or(Timestamp::ZERO));

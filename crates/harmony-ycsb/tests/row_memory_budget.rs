@@ -1,16 +1,22 @@
-//! Tier-1 memory budget for the stored replica rows.
+//! Tier-1 memory budgets for the stored replica rows.
 //!
-//! Loading a store shaped like the benchmark's `lean` workload (8 nodes,
-//! RF 3, 20 000 YCSB records of 2 x 16 B) must keep its live heap within
-//! 256 bytes per stored replica row. A row is one shared `Arc` (40 bytes)
-//! plus one exactly sized, name-sorted column vector (40 bytes per column),
-//! so the load costs about 211 bytes per replica row, the key table and the
-//! engines' key maps included; a row that keeps its columns in a B-tree
-//! spends a 456-byte leaf on two columns and needs about 587.
+//! Loading a store shaped like one of the benchmark's workloads must keep
+//! its live heap, the key table and the engines' key maps included, within
+//! a budget per stored replica row:
+//!
+//! * `lean` (8 nodes, RF 3, 20 000 YCSB records of 2 x 16 B): 180 bytes;
+//! * `headline` (20 nodes, RF 5, 20 000 records of 10 x 64 B): 320 bytes.
+//!
+//! A row is one shared `Arc` (40 bytes) plus one exactly sized, name-sorted
+//! vector of 16-byte cells, each a pointer to the loaded field (name and
+//! payload, shared by every replica) and a timestamp. That loads at about
+//! 163 bytes per `lean` and 265 per `headline` replica row. Cells that keep
+//! their own name and payload pointers (40 bytes each) need about 211 and
+//! 505, and a row that keeps its columns in a B-tree about 587 on `lean`.
 //!
 //! Integration tests are separate binaries, so this counting allocator is
-//! linked into nothing else; the file holds a single test so no other test
-//! thread allocates while it counts.
+//! linked into nothing else; the file holds a single test, which loads the
+//! shapes in turn, so no other test thread allocates while it counts.
 
 use harmony_adaptive::config::ControllerConfig;
 use harmony_adaptive::controller::AdaptiveController;
@@ -50,43 +56,74 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const RECORDS: u64 = 20_000;
-const REPLICATION_FACTOR: usize = 3;
-const MAX_BYTES_PER_REPLICA_ROW: f64 = 256.0;
+/// A store shape to load and its budget.
+struct Shape {
+    name: &'static str,
+    nodes: usize,
+    replication_factor: usize,
+    workload: WorkloadSpec,
+    max_bytes_per_replica_row: f64,
+}
 
-#[test]
-fn lean_shaped_load_stays_within_256_bytes_per_replica_row() {
+/// Live heap bytes per stored replica row after loading `shape`.
+fn bytes_per_replica_row(shape: &Shape) -> f64 {
     let store = StoreConfig {
-        replication_factor: REPLICATION_FACTOR,
+        replication_factor: shape.replication_factor,
         node_concurrency: 4,
         ..StoreConfig::default()
     };
-    let workload = WorkloadSpec {
-        field_count: 2,
-        field_size: 16,
-        ..WorkloadSpec::workload_b(RECORDS)
-    };
     let spec = ExperimentSpec {
         seed: 20120920,
-        ..ExperimentSpec::single_phase(workload, 32, 1_000)
+        ..ExperimentSpec::single_phase(shape.workload.clone(), 32, 1_000)
     };
     let controller = AdaptiveController::new(
         ControllerConfig::default(),
-        REPLICATION_FACTOR,
+        shape.replication_factor,
         Box::new(StaticPolicy::Eventual),
     );
-    let profile = profiles::grid5000_with_nodes(8);
+    let profile = profiles::grid5000_with_nodes(shape.nodes);
 
     let before = LIVE.load(Ordering::Relaxed);
     let runner = Runner::new(&profile, store, controller, spec);
     let live = LIVE.load(Ordering::Relaxed) - before;
-
-    let replica_rows = RECORDS as f64 * REPLICATION_FACTOR as f64;
-    let per_row = live as f64 / replica_rows;
-    assert!(
-        per_row <= MAX_BYTES_PER_REPLICA_ROW,
-        "{live} live bytes over {replica_rows} replica rows = {per_row:.1} per row, \
-         budget {MAX_BYTES_PER_REPLICA_ROW}"
-    );
     drop(runner);
+
+    let replica_rows = shape.workload.record_count as f64 * shape.replication_factor as f64;
+    live as f64 / replica_rows
+}
+
+#[test]
+fn loads_stay_within_their_bytes_per_replica_row_budgets() {
+    let shapes = [
+        Shape {
+            name: "lean",
+            nodes: 8,
+            replication_factor: 3,
+            workload: WorkloadSpec {
+                field_count: 2,
+                field_size: 16,
+                ..WorkloadSpec::workload_b(20_000)
+            },
+            max_bytes_per_replica_row: 180.0,
+        },
+        Shape {
+            name: "headline",
+            nodes: 20,
+            replication_factor: 5,
+            workload: WorkloadSpec {
+                field_size: 64,
+                ..WorkloadSpec::workload_a(20_000)
+            },
+            max_bytes_per_replica_row: 320.0,
+        },
+    ];
+    for shape in &shapes {
+        let per_row = bytes_per_replica_row(shape);
+        assert!(
+            per_row <= shape.max_bytes_per_replica_row,
+            "{}: {per_row:.1} live bytes per replica row, budget {}",
+            shape.name,
+            shape.max_bytes_per_replica_row
+        );
+    }
 }
