@@ -12,7 +12,7 @@ use harmony_sim::clock::SimTime;
 use harmony_sim::topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// One typed fault (or elasticity) event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -236,9 +236,37 @@ impl Default for RandomFaultConfig {
 ///
 /// Events at equal timestamps fire in insertion order (the sim kernel's FIFO
 /// tie-break), so a schedule is replayed identically however it was built.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Decoding one runs [`FaultSchedule::try_push`]'s checks on every event and
+/// rejects an event list that is not sorted by time.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSchedule {
     events: Vec<ScheduledFault>,
+}
+
+/// The encoded form of a [`FaultSchedule`], checked before it is trusted.
+#[derive(Deserialize)]
+struct FaultScheduleWire {
+    events: Vec<ScheduledFault>,
+}
+
+impl Deserialize for FaultSchedule {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mut schedule = FaultSchedule::empty();
+        for ScheduledFault { at, fault } in FaultScheduleWire::from_value(v)?.events {
+            if let Some(last) = schedule.events.last().filter(|last| at < last.at) {
+                return Err(DeError::custom(format!(
+                    "invalid fault schedule: {} at t={:.6}s follows t={:.6}s",
+                    fault.label(),
+                    at.as_secs_f64(),
+                    last.at.as_secs_f64()
+                )));
+            }
+            schedule
+                .try_insert(at, fault)
+                .map_err(|e| DeError::custom(format!("invalid fault schedule: {e}")))?;
+        }
+        Ok(schedule)
+    }
 }
 
 impl FaultSchedule {
@@ -297,6 +325,13 @@ impl FaultSchedule {
                 incoming: fault,
             });
         }
+        self.try_insert(SimTime::from_secs_f64(at_secs), fault)
+    }
+
+    /// [`FaultSchedule::try_push`] at an exact virtual time: checks the
+    /// slow-down factor and same-tick conflicts, then inserts after every
+    /// event at or before `at`.
+    fn try_insert(&mut self, at: SimTime, fault: FaultEvent) -> Result<(), ScheduleError> {
         if let FaultEvent::SlowNode {
             node,
             service_factor,
@@ -309,7 +344,6 @@ impl FaultSchedule {
                 });
             }
         }
-        let at = SimTime::from_secs_f64(at_secs);
         for e in self.events.iter().filter(|e| e.at == at) {
             if conflicts(&e.fault, &fault) {
                 return Err(ScheduleError::ConflictingSameTick {
@@ -771,6 +805,53 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: FaultSchedule = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn decoding_runs_the_push_checks_and_requires_time_order() {
+        let decode = |json: String| serde_json::from_str::<FaultSchedule>(&json);
+        let ok = FaultSchedule::empty()
+            .crash_at(0.5, NodeId(2))
+            .slow_at(1.0, NodeId(1), 3.0)
+            .restart_at(1.0, NodeId(2));
+        let json = serde_json::to_string(&ok).unwrap();
+        assert_eq!(decode(json.clone()).unwrap(), ok);
+        let crash_tick = serde_json::to_string(&ok.events()[0].at).unwrap();
+        let slow_tick = serde_json::to_string(&ok.events()[1].at).unwrap();
+        let event = |at: &str, fault: FaultEvent| {
+            format!(
+                "{{\"at\":{at},\"fault\":{}}}",
+                serde_json::to_string(&fault).unwrap()
+            )
+        };
+        let schedule = |events: &[String]| format!("{{\"events\":[{}]}}", events.join(","));
+
+        let zero_factor = schedule(&[event(
+            &slow_tick,
+            FaultEvent::SlowNode {
+                node: NodeId(1),
+                service_factor: 0.0,
+            },
+        )]);
+        let err = decode(zero_factor).unwrap_err().to_string();
+        assert!(err.contains("finite and > 0"), "{err}");
+
+        let contradictory = schedule(&[
+            event(&crash_tick, FaultEvent::CrashNode { node: NodeId(0) }),
+            event(
+                &crash_tick,
+                FaultEvent::DecommissionNode { node: NodeId(0) },
+            ),
+        ]);
+        let err = decode(contradictory).unwrap_err().to_string();
+        assert!(err.contains("conflicting events"), "{err}");
+
+        let out_of_order = schedule(&[
+            event(&slow_tick, FaultEvent::CrashNode { node: NodeId(0) }),
+            event(&crash_tick, FaultEvent::RestartNode { node: NodeId(0) }),
+        ]);
+        let err = decode(out_of_order).unwrap_err().to_string();
+        assert!(err.contains("follows"), "{err}");
     }
 
     #[test]

@@ -197,11 +197,17 @@ impl FaultState {
         }
     }
 
-    /// Sets the node's service-time multiplier (clamped to be positive).
+    /// Sets the node's service-time multiplier. Returns false, changing
+    /// nothing, for a node out of range or a factor that is not finite and
+    /// positive: NaN, zero or a negative factor would make the node almost
+    /// infinitely fast, and +∞ would make its service times zero.
     pub fn set_slow(&mut self, node: NodeId, factor: f64) -> bool {
+        if !(factor.is_finite() && factor > 0.0) {
+            return false;
+        }
         match self.slow_factor.get_mut(node.index()) {
             Some(f) => {
-                *f = factor.max(1e-6);
+                *f = factor;
                 self.counters.slowdowns += 1;
                 true
             }
@@ -342,9 +348,27 @@ mod tests {
         assert!(s.set_slow(NodeId(1), 1.0));
         assert!(!s.any_active());
         assert!(!s.set_slow(NodeId(9), 2.0), "out of range is rejected");
-        // Factors are clamped positive, never zero.
-        s.set_slow(NodeId(0), -3.0);
-        assert!(s.service_factor(NodeId(0)) > 0.0);
+        // A factor that is not finite and > 0 is rejected, not clamped.
+        assert!(!s.set_slow(NodeId(0), -3.0));
+        assert_eq!(s.service_factor(NodeId(0)), 1.0);
+    }
+
+    #[test]
+    fn slow_factors_must_be_finite_and_positive() {
+        for factor in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let mut s = FaultState::new(2);
+            assert!(s.set_slow(NodeId(1), 2.0));
+            let before = s.counters();
+            assert!(!s.set_slow(NodeId(1), factor), "x{factor} accepted");
+            assert_eq!(s.service_factor(NodeId(1)), 2.0, "x{factor} applied");
+            assert_eq!(s.counters(), before, "x{factor} counted");
+        }
+        for factor in [0.5, 1.0, 4.0] {
+            let mut s = FaultState::new(2);
+            assert!(s.set_slow(NodeId(1), factor), "x{factor} rejected");
+            assert_eq!(s.service_factor(NodeId(1)), factor);
+            assert_eq!(s.counters().slowdowns, 1);
+        }
     }
 
     #[test]

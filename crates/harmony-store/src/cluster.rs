@@ -13,11 +13,13 @@
 //!
 //! The per-operation path is allocation-free: keys are interned
 //! ([`KeyId`], 4 bytes, `Copy`) so no `String` is ever cloned on the op
-//! path; replica placement is memoised per key in a flat table
-//! ([`PlacementCache`]) so steady-state lookups are an array index instead
-//! of a ring walk; and mutation/repair payloads are `Arc`-shared across the
-//! replica fan-out so an RF = 3 write bumps a refcount three times instead
-//! of deep-cloning a `BTreeMap` three times.
+//! path; replica placement is memoised per ring range
+//! ([`PlacementCache`]): each key keeps a 4-byte range index and each of
+//! the ring's ranges one replica set, so a steady-state lookup is two array
+//! loads instead of a ring walk, and a load walks the ring once per range
+//! rather than once per key; and mutation/repair payloads are `Arc`-shared
+//! across the replica fan-out so an RF = 3 write bumps a refcount three
+//! times instead of deep-cloning a `BTreeMap` three times.
 
 use crate::config::StoreConfig;
 use crate::consistency::ConsistencyLevel;
@@ -690,6 +692,11 @@ impl Cluster {
         deepest
     }
 
+    /// The token ring over the current membership.
+    pub fn ring(&self) -> &HashRing {
+        &self.ring
+    }
+
     /// The replica set (primary first) for a key under the configured
     /// placement strategy — the *uncached* reference walk. The op path uses
     /// [`Cluster::replicas_for_id`]; this entry point exists for tests,
@@ -703,12 +710,13 @@ impl Cluster {
         )
     }
 
-    /// The memoised replica set for an interned key: an array lookup in
-    /// steady state, one ring walk on a key's first operation.
+    /// The memoised replica set for an interned key: two array loads in
+    /// steady state. The key's name is resolved and hashed only on the
+    /// key's first lookup, and the ring walked only on its range's first.
     pub fn replicas_for_id(&mut self, key: KeyId) -> ReplicaSet {
         self.placement.replicas_for(
             key,
-            self.key_table.resolve(key),
+            || self.key_table.resolve(key),
             self.config.strategy,
             &self.ring,
             &self.topology,
@@ -737,7 +745,8 @@ impl Cluster {
     /// Bulk-loads a row onto every replica without going through the message
     /// layer. Used for the workload load phase, mirroring a YCSB `load` run
     /// that completes before the measured transaction phase starts.
-    pub fn load_direct(&mut self, key: &str, mutation: &Mutation, timestamp: Timestamp) {
+    /// Returns the key's interned id.
+    pub fn load_direct(&mut self, key: &str, mutation: &Mutation, timestamp: Timestamp) -> KeyId {
         let id = self.intern_key(key);
         let replicas = self.replicas_for_id(id);
         for node in replicas.as_slice() {
@@ -750,6 +759,7 @@ impl Cluster {
             *entry = timestamp;
         }
         self.last_timestamp = self.last_timestamp.max(timestamp.0);
+        id
     }
 
     /// Applies a mutation directly to one node's engine, bypassing the

@@ -1,19 +1,22 @@
 //! Per-node storage engine: one row map per replica.
 //!
 //! Every replica keeps its rows in a single sorted map keyed by [`KeyId`],
-//! each row a shared, flat, name-sorted cell vector ([`Row`]). A write
-//! upserts its fields with per-column last-write-wins (ties keep the stored
-//! cell); a repair row merges the same way. A row costs one `Arc` and one
-//! exactly sized vector of 16-byte cells, each a pointer to the written
-//! field (name and payload, shared with the mutation and every other
-//! replica) plus its timestamp, so a `lean` replica row of two columns is
-//! 40 + 32 bytes of heap and a ten-column `headline` row 40 + 160. The cost
-//! of the paper's Cassandra write path (§II.B) comes from the store's
-//! service model, not from this structure.
+//! each row a shared, flat, name-sorted cell vector ([`Row`]). A write to a
+//! new key stores the mutation's fields, already sorted, as the row in one
+//! step; a write to a stored key upserts its fields with per-column
+//! last-write-wins (ties keep the stored cell); a repair row merges the same
+//! way. A row costs one `Arc` and one exactly sized vector of 16-byte
+//! cells, each a pointer to the written field (name and payload, shared
+//! with the mutation and every other replica) plus its timestamp, so a
+//! `lean` replica row of two columns is 40 + 32 bytes of heap and a
+//! ten-column `headline` row 40 + 160. The cost of the paper's Cassandra
+//! write path (§II.B) comes from the store's service model, not from this
+//! structure.
 
 use crate::keys::KeyId;
 use crate::types::{Mutation, Row, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -48,18 +51,23 @@ impl StorageEngine {
 
     /// Applies a mutation at `timestamp`: per-column last-write-wins upsert.
     pub fn apply(&mut self, key: KeyId, mutation: &Mutation, timestamp: Timestamp) {
-        // A new row is sized to the mutation, so loading a record is one
-        // exact allocation. `make_mut` clones only if a read response still
-        // shares this row — exactly the copy-on-write a shared store needs,
-        // and a copy of the cell vector (one allocation of the same size, a
-        // reference-count bump per cell), not of the fields behind it.
-        let row = self
-            .rows
-            .entry(key)
-            .or_insert_with(|| Arc::new(Row::with_capacity(mutation.len())));
-        let row = Arc::make_mut(row);
-        for field in mutation.fields() {
-            row.upsert(field, timestamp);
+        match self.rows.entry(key) {
+            // A new row is the mutation's already-sorted fields stamped in
+            // one step, so loading a record is one exact allocation and no
+            // per-field search.
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(mutation.to_row(timestamp)));
+            }
+            // `make_mut` clones only if a read response still shares this
+            // row — exactly the copy-on-write a shared store needs, and a
+            // copy of the cell vector (one allocation of the same size, a
+            // reference-count bump per cell), not of the fields behind it.
+            Entry::Occupied(mut slot) => {
+                let row = Arc::make_mut(slot.get_mut());
+                for field in mutation.fields() {
+                    row.upsert(field, timestamp);
+                }
+            }
         }
     }
 

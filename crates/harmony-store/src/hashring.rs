@@ -87,8 +87,10 @@ impl HashRing {
     }
 
     /// The index in the token list of the first token at or after `token`
-    /// (wrapping to 0 past the end).
-    fn successor_index(&self, token: u64) -> usize {
+    /// (wrapping to 0 past the end): the ring range the token falls in.
+    /// Every token in one range has the same successor, so placement is a
+    /// function of this index alone.
+    pub fn successor_index(&self, token: u64) -> usize {
         match self.entries.binary_search_by(|e| e.token.cmp(&token)) {
             Ok(i) => i,
             Err(i) => {
@@ -106,20 +108,32 @@ impl HashRing {
         self.entries[self.successor_index(key_token(key))].node
     }
 
-    /// Walks the ring clockwise starting at the key's token, yielding the
-    /// owning physical node of each token (with repetitions — deduplication
-    /// is the replication strategy's job).
+    /// Walks the ring clockwise starting at token index `start`, yielding
+    /// the owning physical node of each token (with repetitions —
+    /// deduplication is the replication strategy's job).
+    ///
+    /// # Panics
+    /// Panics if `start` is not below [`HashRing::token_count`].
+    pub fn walk_from_index(&self, start: usize) -> impl Iterator<Item = NodeId> + '_ {
+        assert!(
+            start < self.entries.len(),
+            "ring index {start} out of range"
+        );
+        let (before, after) = self.entries.split_at(start);
+        after.iter().chain(before).map(|e| e.node)
+    }
+
+    /// Walks the ring clockwise starting at the key's token: the walk from
+    /// the key's [`HashRing::successor_index`].
     pub fn walk_from_key<'a>(&'a self, key: &str) -> impl Iterator<Item = NodeId> + 'a {
-        let start = self.successor_index(key_token(key));
-        let len = self.entries.len();
-        (0..len).map(move |i| self.entries[(start + i) % len].node)
+        self.walk_from_index(self.successor_index(key_token(key)))
     }
 
     /// The first `count` *distinct* physical nodes encountered walking the
-    /// ring from the key's position. This is `SimpleStrategy` placement.
-    pub fn preference_list(&self, key: &str, count: usize) -> Vec<NodeId> {
+    /// ring from token index `start`.
+    pub fn preference_list_from(&self, start: usize, count: usize) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(count);
-        for node in self.walk_from_key(key) {
+        for node in self.walk_from_index(start) {
             if !out.contains(&node) {
                 out.push(node);
                 if out.len() == count {
@@ -128,6 +142,12 @@ impl HashRing {
             }
         }
         out
+    }
+
+    /// The first `count` *distinct* physical nodes encountered walking the
+    /// ring from the key's position. This is `SimpleStrategy` placement.
+    pub fn preference_list(&self, key: &str, count: usize) -> Vec<NodeId> {
+        self.preference_list_from(self.successor_index(key_token(key)), count)
     }
 
     /// The fraction of the token space owned by each node (useful for
@@ -280,5 +300,26 @@ mod tests {
         let ring = HashRing::new(4, 8);
         let walked: Vec<NodeId> = ring.walk_from_key("abc").collect();
         assert_eq!(walked.len(), ring.token_count());
+    }
+
+    #[test]
+    fn keys_in_one_range_share_their_walk() {
+        let ring = HashRing::new(6, 8);
+        for k in 0..200 {
+            let key = format!("user{k}");
+            let start = ring.successor_index(key_token(&key));
+            let from_key: Vec<NodeId> = ring.walk_from_key(&key).collect();
+            let from_index: Vec<NodeId> = ring.walk_from_index(start).collect();
+            assert_eq!(from_key, from_index);
+            assert_eq!(from_key[0], ring.primary_for_key(&key));
+            assert_eq!(
+                ring.preference_list(&key, 4),
+                ring.preference_list_from(start, 4)
+            );
+        }
+        // The last range wraps: its walk continues at index 0.
+        let last = ring.token_count() - 1;
+        let wrapped: Vec<NodeId> = ring.walk_from_index(last).take(2).collect();
+        assert_eq!(wrapped[1], ring.walk_from_index(0).next().unwrap());
     }
 }

@@ -11,7 +11,7 @@
 //!   to already-used racks only when every rack is covered. This reproduces
 //!   the rack/DC spreading of the paper's configuration.
 
-use crate::hashring::HashRing;
+use crate::hashring::{key_token, HashRing};
 use crate::keys::KeyId;
 use harmony_sim::topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
@@ -19,7 +19,7 @@ use std::collections::HashSet;
 
 /// Upper bound on the replication factor the inline replica-set cache
 /// supports. The paper's deployments use RF = 5; the bound leaves headroom
-/// without bloating the per-key cache entry (8 × 4 bytes + length).
+/// without bloating the per-range cache entry (8 × 4 bytes + length).
 pub const MAX_RF: usize = 8;
 
 /// A replica set stored inline (no heap allocation): up to [`MAX_RF`] node
@@ -85,18 +85,32 @@ impl ReplicaSet {
     }
 }
 
-/// A memoised `replicas_for` table indexed by [`KeyId`]: steady-state
-/// placement lookups are one array index instead of a token-ring walk plus a
-/// `Vec` allocation. Entries are computed lazily on first use and the whole
-/// table is dropped by [`PlacementCache::invalidate`] whenever the ring or
-/// the topology changes (node joins/departures, vnode reshuffles).
+/// Memoised placement, kept per ring range rather than per key.
+///
+/// Both strategies place a key by walking the ring from the first token at
+/// or after the key's token, so every key in one range (between two
+/// adjacent tokens) has the same replica set — the per-range preference
+/// list Dynamo keeps. The cache holds two tables: `ranges`, one replica set
+/// per ring token index, each computed by at most one ring walk per ring
+/// generation, and `range_of`, one 4-byte range index per [`KeyId`]. A
+/// steady-state lookup is two array loads and never needs the key's name;
+/// the name is hashed once per key and generation to find its range.
+/// [`PlacementCache::invalidate`] drops both tables whenever the ring or the
+/// topology changes (node joins/departures, vnode reshuffles): a new ring
+/// can keep its token count and still move every range.
 #[derive(Debug, Default, Clone)]
 pub struct PlacementCache {
-    sets: Vec<ReplicaSet>,
+    /// Replica set per ring token index; [`ReplicaSet::EMPTY`] until walked.
+    ranges: Vec<ReplicaSet>,
+    /// Ring token index per key; [`UNKNOWN_RANGE`] until the key is hashed.
+    range_of: Vec<u32>,
     /// Bumped on every invalidation; lets callers cheaply detect that cached
     /// data from a previous topology must not be reused.
     generation: u64,
 }
+
+/// The `range_of` entry of a key whose range is not computed yet.
+const UNKNOWN_RANGE: u32 = u32::MAX;
 
 impl PlacementCache {
     /// An empty cache.
@@ -116,42 +130,81 @@ impl PlacementCache {
         self.generation
     }
 
-    /// Number of keys with a cached (computed) replica set.
+    /// Number of keys whose replica set is cached: the key's range is known
+    /// and that range has been walked.
     pub fn cached_len(&self) -> usize {
-        self.sets.iter().filter(|s| !s.is_empty()).count()
+        self.range_of
+            .iter()
+            .filter(|&&range| {
+                self.ranges
+                    .get(range as usize)
+                    .is_some_and(|set| !set.is_empty())
+            })
+            .count()
     }
 
     /// Drops every cached entry. Must be called whenever the ring, the
     /// topology or the placement strategy changes.
     pub fn invalidate(&mut self) {
-        self.sets.clear();
+        self.ranges.clear();
+        self.range_of.clear();
         self.generation += 1;
     }
 
-    /// The cached replica set for `key`, computing (and caching) it from the
-    /// ring walk on first use. A cluster-size or RF of zero is the caller's
-    /// bug; an empty computed set is cached as-is and recomputed next time,
-    /// which cannot happen for a non-empty topology.
+    /// The cached replica set for `key`. A key seen for the first time since
+    /// the last invalidation calls `name` once and hashes it to its ring
+    /// range; a range seen for the first time is walked once. Every other
+    /// lookup is two array loads and leaves `name` uncalled. A cluster size
+    /// or RF of zero is the caller's bug; an empty computed set is cached
+    /// as-is and recomputed next time, which cannot happen for a non-empty
+    /// topology.
     #[inline]
-    pub fn replicas_for(
+    pub fn replicas_for<'n>(
         &mut self,
         key: KeyId,
-        name: &str,
+        name: impl FnOnce() -> &'n str,
         strategy: ReplicationStrategy,
         ring: &HashRing,
         topology: &Topology,
         rf: usize,
     ) -> ReplicaSet {
+        let range = match self.range_of.get(key.index()) {
+            Some(&range) if range != UNKNOWN_RANGE => range as usize,
+            _ => self.locate(key, name(), ring),
+        };
+        match self.ranges.get(range) {
+            Some(set) if !set.is_empty() => *set,
+            _ => self.walk(range, strategy, ring, topology, rf),
+        }
+    }
+
+    /// Hashes a key's name to its ring range and records it.
+    #[cold]
+    fn locate(&mut self, key: KeyId, name: &str, ring: &HashRing) -> usize {
+        let range = ring.successor_index(key_token(name));
         let index = key.index();
-        if index >= self.sets.len() {
-            self.sets.resize(index + 1, ReplicaSet::EMPTY);
+        if index >= self.range_of.len() {
+            self.range_of.resize(index + 1, UNKNOWN_RANGE);
         }
-        let cached = self.sets[index];
-        if !cached.is_empty() {
-            return cached;
+        self.range_of[index] = range as u32;
+        range
+    }
+
+    /// Walks the ring for one range and records its replica set.
+    #[cold]
+    fn walk(
+        &mut self,
+        range: usize,
+        strategy: ReplicationStrategy,
+        ring: &HashRing,
+        topology: &Topology,
+        rf: usize,
+    ) -> ReplicaSet {
+        if self.ranges.is_empty() {
+            self.ranges.resize(ring.token_count(), ReplicaSet::EMPTY);
         }
-        let fresh = ReplicaSet::from_slice(&strategy.replicas_for(ring, topology, name, rf));
-        self.sets[index] = fresh;
+        let fresh = ReplicaSet::from_slice(&strategy.replicas_for_range(ring, topology, range, rf));
+        self.ranges[range] = fresh;
         fresh
     }
 }
@@ -167,7 +220,10 @@ pub enum ReplicationStrategy {
 }
 
 impl ReplicationStrategy {
-    /// Computes the replica set (in preference order, primary first) for a key.
+    /// Computes the replica set (in preference order, primary first) for a
+    /// key: the walk for the key's ring range,
+    /// [`ReplicationStrategy::replicas_for_range`] from the key's
+    /// [`HashRing::successor_index`]. This is the uncached reference walk.
     ///
     /// The returned list has `min(rf, cluster size)` distinct nodes.
     pub fn replicas_for(
@@ -177,14 +233,32 @@ impl ReplicationStrategy {
         key: &str,
         rf: usize,
     ) -> Vec<NodeId> {
+        self.replicas_for_range(ring, topology, ring.successor_index(key_token(key)), rf)
+    }
+
+    /// Computes the replica set (in preference order, primary first) shared
+    /// by every key whose token falls in the ring range ending at token
+    /// index `range`.
+    ///
+    /// The returned list has `min(rf, cluster size)` distinct nodes.
+    ///
+    /// # Panics
+    /// Panics if `range` is not below [`HashRing::token_count`].
+    pub fn replicas_for_range(
+        &self,
+        ring: &HashRing,
+        topology: &Topology,
+        range: usize,
+        rf: usize,
+    ) -> Vec<NodeId> {
         let rf = rf.min(topology.len()).max(1);
         match self {
-            ReplicationStrategy::Simple => ring.preference_list(key, rf),
+            ReplicationStrategy::Simple => ring.preference_list_from(range, rf),
             ReplicationStrategy::NetworkTopology => {
                 let mut chosen: Vec<NodeId> = Vec::with_capacity(rf);
                 let mut used_racks: HashSet<(u16, u16)> = HashSet::new();
                 let mut used_dcs: HashSet<u16> = HashSet::new();
-                let candidates = ring.preference_list(key, topology.len());
+                let candidates = ring.preference_list_from(range, topology.len());
 
                 // Pass 1: nodes in datacenters not yet covered.
                 for &node in &candidates {

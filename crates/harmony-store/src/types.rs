@@ -100,11 +100,13 @@ impl Row {
         Row::default()
     }
 
-    /// An empty row with room for `columns` columns.
-    pub(crate) fn with_capacity(columns: usize) -> Self {
-        Row {
-            cells: Vec::with_capacity(columns),
-        }
+    /// A row of `fields`, all written at `timestamp`, built in one exactly
+    /// sized allocation with no search: the fields must be name-sorted with
+    /// every name once, as a [`Mutation`]'s are.
+    fn stamped(fields: impl ExactSizeIterator<Item = Arc<Field>>, timestamp: Timestamp) -> Self {
+        let cells: Vec<Cell> = fields.map(|field| Cell { field, timestamp }).collect();
+        debug_assert!(cells.windows(2).all(|w| w[0].name() < w[1].name()));
+        Row { cells }
     }
 
     /// The cell stored under `name`, if any.
@@ -242,7 +244,9 @@ impl Row {
 impl FromIterator<Cell> for Row {
     fn from_iter<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
         let cells = cells.into_iter();
-        let mut row = Row::with_capacity(cells.size_hint().0);
+        let mut row = Row {
+            cells: Vec::with_capacity(cells.size_hint().0),
+        };
         for cell in cells {
             row.upsert(&cell.field, cell.timestamp);
         }
@@ -293,10 +297,12 @@ impl Mutation {
 
     /// Applies this mutation at `timestamp`, producing the cells to store.
     pub fn into_row(self, timestamp: Timestamp) -> Row {
-        self.fields
-            .into_iter()
-            .map(|field| Cell { field, timestamp })
-            .collect()
+        Row::stamped(self.fields.into_iter(), timestamp)
+    }
+
+    /// The row this mutation writes at `timestamp`, sharing its fields.
+    pub(crate) fn to_row(&self, timestamp: Timestamp) -> Row {
+        Row::stamped(self.fields.iter().cloned(), timestamp)
     }
 
     /// Number of columns touched.

@@ -1,7 +1,8 @@
 //! Property tests for the memoised placement table: the cache must be
-//! *invisible* — every cached lookup equals a fresh ring walk — and a
-//! topology change must drop every memoised entry rather than serving
-//! placements computed for the previous ring.
+//! *invisible* — every cached lookup equals a fresh ring walk — a cached
+//! lookup must not need the key's name, and a topology change must drop
+//! every memoised entry rather than serving placements computed for the
+//! previous ring, even when the new ring has as many tokens as the old.
 //!
 //! Sampling is deterministic per property (the mini-proptest shim derives
 //! its seed from the property name), so a failure reproduces exactly.
@@ -52,11 +53,18 @@ proptest! {
                 let fresh = strategy.replicas_for(&ring, &topology, &name, rf);
                 // First lookup computes...
                 let cached =
-                    cache.replicas_for(key, &name, strategy, &ring, &topology, rf);
+                    cache.replicas_for(key, || &name, strategy, &ring, &topology, rf);
                 prop_assert_eq!(cached.as_slice(), fresh.as_slice());
-                // ...second lookup serves the memoised entry; still equal.
-                let cached_again =
-                    cache.replicas_for(key, &name, strategy, &ring, &topology, rf);
+                // ...second lookup serves the memoised entry without asking
+                // for the name; still equal.
+                let cached_again = cache.replicas_for(
+                    key,
+                    || panic!("a cached lookup resolved {name}"),
+                    strategy,
+                    &ring,
+                    &topology,
+                    rf,
+                );
                 prop_assert_eq!(cached_again.as_slice(), fresh.as_slice());
             }
         }
@@ -90,7 +98,7 @@ proptest! {
             .collect();
         // Warm the cache on the old topology.
         for (key, name) in &keys {
-            cache.replicas_for(*key, name, strategy, &old_ring, &old_topology, rf);
+            cache.replicas_for(*key, || name, strategy, &old_ring, &old_topology, rf);
         }
         let generation = cache.generation();
 
@@ -103,7 +111,7 @@ proptest! {
         for (key, name) in &keys {
             let fresh = strategy.replicas_for(&new_ring, &new_topology, name, rf);
             let cached =
-                cache.replicas_for(*key, name, strategy, &new_ring, &new_topology, rf);
+                cache.replicas_for(*key, || name, strategy, &new_ring, &new_topology, rf);
             prop_assert_eq!(cached.as_slice(), fresh.as_slice());
             let old = strategy.replicas_for(&old_ring, &old_topology, name, rf);
             any_moved |= old != fresh;
@@ -217,10 +225,126 @@ proptest! {
         let mut table = KeyTable::new();
         let name = format!("user{key_index}");
         let key = table.intern(&name);
-        let first = cache.replicas_for(key, &name, ReplicationStrategy::Simple, &ring, &topology, 2);
+        let first = cache.replicas_for(key, || &name, ReplicationStrategy::Simple, &ring, &topology, 2);
         prop_assert_eq!(cache.cached_len(), 1);
-        let second = cache.replicas_for(key, &name, ReplicationStrategy::Simple, &ring, &topology, 2);
+        let second = cache.replicas_for(key, || &name, ReplicationStrategy::Simple, &ring, &topology, 2);
         prop_assert_eq!(first, second);
         prop_assert_eq!(cache.generation(), 0);
+    }
+
+    /// A hit is two array loads: once a key's range is known and walked, a
+    /// lookup must not resolve the key's name — not for the key itself, and
+    /// not for any other key that falls in an already walked range.
+    #[test]
+    fn cached_lookup_never_resolves_the_name(
+        nodes in 2usize..10,
+        vnodes in 1usize..8,
+        rf in 1usize..=3,
+        key_indices in prop::collection::vec(0u64..400, 1..80),
+    ) {
+        let topology = Topology::single_dc(1, nodes as u16);
+        let ring = HashRing::new(topology.len(), vnodes);
+        let strategy = ReplicationStrategy::NetworkTopology;
+        let mut cache = PlacementCache::new();
+        let mut table = KeyTable::new();
+        let keys: Vec<(KeyId, String)> = key_indices
+            .iter()
+            .map(|i| {
+                let name = format!("user{i}");
+                (table.intern(&name), name)
+            })
+            .collect();
+        for (key, name) in &keys {
+            cache.replicas_for(*key, || name, strategy, &ring, &topology, rf);
+        }
+        prop_assert_eq!(cache.cached_len(), table.len());
+        for (key, name) in &keys {
+            let fresh = strategy.replicas_for(&ring, &topology, name, rf);
+            let cached = cache.replicas_for(
+                *key,
+                || panic!("the lookup of cached key {name} resolved its name"),
+                strategy,
+                &ring,
+                &topology,
+                rf,
+            );
+            prop_assert_eq!(cached.as_slice(), fresh.as_slice());
+        }
+    }
+
+    /// A decommission followed by a join leaves the ring with as many
+    /// tokens as before but different ones (the joiner takes a fresh id, so
+    /// fresh tokens): the range table must still be rebuilt, and every
+    /// cached set must equal a fresh ring walk afterwards.
+    #[test]
+    fn decommission_then_join_keeps_the_token_count_and_refreshes_every_range(
+        seed in 0u64..1_000,
+        vnodes in 1usize..24,
+        key_indices in prop::collection::vec(0u64..300, 20..60),
+    ) {
+        let config = StoreConfig {
+            replication_factor: 3,
+            vnodes_per_node: vnodes,
+            ..StoreConfig::default()
+        };
+        let mut cluster = Cluster::new(
+            config,
+            Topology::single_dc(2, 3),
+            NetworkModel::uniform(Latency::constant_ms(0.2)),
+            RngFactory::new(seed),
+        );
+        let mut sim: Simulation<StoreEvent> = Simulation::new(seed);
+        let keys: Vec<(KeyId, String)> = key_indices
+            .iter()
+            .enumerate()
+            .map(|(i, index)| {
+                let name = format!("user{index}");
+                let id = cluster.load_direct(
+                    &name,
+                    &Mutation::single("f", b"v".to_vec()),
+                    Timestamp(i as u64 + 1),
+                );
+                (id, name)
+            })
+            .collect();
+        let ring_before = cluster.ring().clone();
+        let topology_before = cluster.topology().clone();
+        let old: Vec<_> = keys.iter().map(|(id, _)| cluster.replicas_for_id(*id)).collect();
+
+        let victim = cluster.fault_state().members()[0];
+        cluster.apply_fault(&FaultEvent::DecommissionNode { node: victim }, &mut sim);
+        cluster.apply_fault(&FaultEvent::JoinNode { dc: 0, rack: 0 }, &mut sim);
+        prop_assert_eq!(cluster.ring().token_count(), ring_before.token_count());
+        prop_assert_eq!(cluster.placement_invalidations(), 2);
+
+        let mut any_moved = false;
+        for ((id, name), old) in keys.iter().zip(&old) {
+            let fresh = cluster.replicas_for(name);
+            let cached = cluster.replicas_for_id(*id);
+            prop_assert_eq!(cached.as_slice(), fresh.as_slice(), "key {}", name);
+            prop_assert!(!cached.as_slice().contains(&victim));
+            any_moved |= old.as_slice() != fresh.as_slice();
+        }
+        // The victim held replicas of some of these keys, so the equality
+        // above is not vacuous.
+        prop_assert!(any_moved, "no placement moved across {} keys", keys.len());
+
+        // The cluster looks every key up again between the two changes (the
+        // rebalance after the decommission), so replay the two rings on a
+        // bare cache with nothing between them but `invalidate()`: only the
+        // invalidation, not a change in the token count, may drop the old
+        // ranges.
+        let (strategy, rf) = (cluster.config().strategy, cluster.config().replication_factor);
+        let mut cache = PlacementCache::new();
+        for (id, name) in &keys {
+            cache.replicas_for(*id, || name, strategy, &ring_before, &topology_before, rf);
+        }
+        cache.invalidate();
+        for (id, name) in &keys {
+            let fresh = strategy.replicas_for(cluster.ring(), cluster.topology(), name, rf);
+            let cached =
+                cache.replicas_for(*id, || name, strategy, cluster.ring(), cluster.topology(), rf);
+            prop_assert_eq!(cached.as_slice(), fresh.as_slice(), "key {}", name);
+        }
     }
 }

@@ -455,8 +455,7 @@ impl Runner {
         for local in 0..local_records {
             let global = partition.map_or(local, |p| p.local_to_global(local)) as u64;
             let name = record_key(global);
-            cluster.load_direct(&name, &row_template, Timestamp(global + 1));
-            record_ids.push(cluster.key_id(&name).expect("just loaded"));
+            record_ids.push(cluster.load_direct(&name, &row_template, Timestamp(global + 1)));
         }
         let hot: Vec<usize> = (0..spec.hot_key_prefix)
             .filter(|&global| partition.is_none_or(|p| p.owns_global(global as usize)))

@@ -4,15 +4,18 @@
 //! its live heap, the key table and the engines' key maps included, within
 //! a budget per stored replica row:
 //!
-//! * `lean` (8 nodes, RF 3, 20 000 YCSB records of 2 x 16 B): 180 bytes;
-//! * `headline` (20 nodes, RF 5, 20 000 records of 10 x 64 B): 320 bytes.
+//! * `lean` (8 nodes, RF 3, 20 000 YCSB records of 2 x 16 B): 155 bytes;
+//! * `headline` (20 nodes, RF 5, 20 000 records of 10 x 64 B): 260 bytes.
 //!
 //! A row is one shared `Arc` (40 bytes) plus one exactly sized, name-sorted
 //! vector of 16-byte cells, each a pointer to the loaded field (name and
-//! payload, shared by every replica) and a timestamp. That loads at about
-//! 163 bytes per `lean` and 265 per `headline` replica row. Cells that keep
-//! their own name and payload pointers (40 bytes each) need about 211 and
-//! 505, and a row that keeps its columns in a B-tree about 587 on `lean`.
+//! payload, shared by every replica) and a timestamp. Placement costs a
+//! 4-byte ring-range index per key plus one replica set per ring range.
+//! That loads at about 145 bytes per `lean` and 255 per `headline` replica
+//! row. A placement memo holding a 36-byte replica set per key needs about
+//! 163 and 265, cells that keep their own name and payload pointers (40
+//! bytes each) about 211 and 505, and a row that keeps its columns in a
+//! B-tree about 587 on `lean`.
 //!
 //! Integration tests are separate binaries, so this counting allocator is
 //! linked into nothing else; the file holds a single test, which loads the
@@ -104,7 +107,7 @@ fn loads_stay_within_their_bytes_per_replica_row_budgets() {
                 field_size: 16,
                 ..WorkloadSpec::workload_b(20_000)
             },
-            max_bytes_per_replica_row: 180.0,
+            max_bytes_per_replica_row: 155.0,
         },
         Shape {
             name: "headline",
@@ -114,7 +117,7 @@ fn loads_stay_within_their_bytes_per_replica_row_budgets() {
                 field_size: 64,
                 ..WorkloadSpec::workload_a(20_000)
             },
-            max_bytes_per_replica_row: 320.0,
+            max_bytes_per_replica_row: 260.0,
         },
     ];
     for shape in &shapes {
