@@ -125,6 +125,33 @@ pub enum ScheduleError {
         /// The rejected factor.
         service_factor: f64,
     },
+    /// An event names a node the cluster does not have: its id is not below
+    /// the initial node count and no earlier [`FaultEvent::JoinNode`] created
+    /// it. Applied as given, such an event is silently ignored and the run
+    /// reports numbers for a fault that never happened.
+    UnknownNode {
+        /// When the event fires.
+        at: SimTime,
+        /// The id that does not exist at that point.
+        node: NodeId,
+        /// How many node ids exist at that point (initial plus joined).
+        nodes: usize,
+        /// The offending event.
+        incoming: FaultEvent,
+    },
+    /// A decommission would leave fewer ring members than the replication
+    /// factor, so the ring could no longer place that many distinct replicas
+    /// of a key.
+    BelowReplicationFactor {
+        /// When the decommission fires.
+        at: SimTime,
+        /// The node it retires.
+        node: NodeId,
+        /// Ring members left after it.
+        members: usize,
+        /// The replication factor.
+        rf: usize,
+    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -152,6 +179,27 @@ impl std::fmt::Display for ScheduleError {
             } => write!(
                 f,
                 "slow({node}, x{service_factor}): a service factor must be finite and > 0"
+            ),
+            ScheduleError::UnknownNode {
+                at,
+                node,
+                nodes,
+                incoming,
+            } => write!(
+                f,
+                "{} at t={:.6}s: {node} does not exist (the cluster has {nodes} node ids then)",
+                incoming.label(),
+                at.as_secs_f64()
+            ),
+            ScheduleError::BelowReplicationFactor {
+                at,
+                node,
+                members,
+                rf,
+            } => write!(
+                f,
+                "decommission({node}) at t={:.6}s leaves {members} ring members, fewer than RF {rf}",
+                at.as_secs_f64()
             ),
         }
     }
@@ -356,6 +404,59 @@ impl FaultSchedule {
         // Stable insertion keeps equal-time events in push order.
         let pos = self.events.partition_point(|e| e.at <= at);
         self.events.insert(pos, ScheduledFault { at, fault });
+        Ok(())
+    }
+
+    /// Checks the schedule against a cluster of `nodes` nodes (ids
+    /// `0..nodes`) under replication factor `rf`, walking the events in
+    /// firing order. Every node a crash, restart, slow-down, partition or
+    /// decommission names must exist: its id is below `nodes` or was created
+    /// by an earlier [`FaultEvent::JoinNode`] (joins take the next ids in
+    /// order). No decommission may leave fewer than `rf` ring members. Times
+    /// and slow-down factors need no check here: every route into a schedule
+    /// already rejects bad ones (see [`FaultSchedule::try_push`]).
+    pub fn validate(&self, nodes: usize, rf: usize) -> Result<(), ScheduleError> {
+        // One flag per node id that exists so far: true once decommissioned.
+        let mut retired = vec![false; nodes];
+        let mut members = nodes;
+        for ScheduledFault { at, fault } in &self.events {
+            let unknown = |node: &&NodeId| node.index() >= retired.len();
+            let named = match fault {
+                FaultEvent::CrashNode { node }
+                | FaultEvent::RestartNode { node }
+                | FaultEvent::SlowNode { node, .. }
+                | FaultEvent::DecommissionNode { node } => Some(node).filter(unknown),
+                FaultEvent::Partition { groups } => groups.iter().flatten().find(unknown),
+                FaultEvent::HealPartition | FaultEvent::JoinNode { .. } => None,
+            };
+            if let Some(&node) = named {
+                return Err(ScheduleError::UnknownNode {
+                    at: *at,
+                    node,
+                    nodes: retired.len(),
+                    incoming: fault.clone(),
+                });
+            }
+            match fault {
+                FaultEvent::JoinNode { .. } => {
+                    retired.push(false);
+                    members += 1;
+                }
+                FaultEvent::DecommissionNode { node } if !retired[node.index()] => {
+                    retired[node.index()] = true;
+                    members -= 1;
+                    if members < rf {
+                        return Err(ScheduleError::BelowReplicationFactor {
+                            at: *at,
+                            node: *node,
+                            members,
+                            rf,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -792,6 +893,97 @@ mod tests {
         }
         assert!(!active, "the last partition must heal within the horizon");
         assert!(partitions > 3);
+    }
+
+    #[test]
+    fn validate_rejects_node_ids_the_cluster_does_not_have() {
+        let crash = FaultSchedule::empty().crash_at(1.0, NodeId(999));
+        let err = crash.validate(20, 5).unwrap_err();
+        assert!(
+            matches!(&err, ScheduleError::UnknownNode { node, nodes: 20, .. } if *node == NodeId(999)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("crash(node999)"));
+        // One side of a partition, a slow-down and a restart are checked too;
+        // the last valid id is accepted.
+        let cut = FaultSchedule::empty().partition_at(1.0, vec![vec![NodeId(0)], vec![NodeId(20)]]);
+        assert!(cut.validate(20, 5).is_err());
+        assert!(FaultSchedule::empty()
+            .slow_at(1.0, NodeId(20), 2.0)
+            .validate(20, 5)
+            .is_err());
+        assert!(FaultSchedule::empty()
+            .restart_at(1.0, NodeId(19))
+            .validate(20, 5)
+            .is_ok());
+    }
+
+    #[test]
+    fn validate_accepts_a_joined_node_only_after_its_join() {
+        // 20 nodes: the first join creates node 20.
+        let joined = FaultSchedule::empty()
+            .join_at(1.0, 0, 0)
+            .crash_at(2.0, NodeId(20))
+            .restart_at(3.0, NodeId(20))
+            .decommission_at(4.0, NodeId(20));
+        assert_eq!(joined.validate(20, 5), Ok(()));
+        let too_early = FaultSchedule::empty()
+            .crash_at(1.0, NodeId(20))
+            .join_at(2.0, 0, 0);
+        assert!(matches!(
+            too_early.validate(20, 5),
+            Err(ScheduleError::UnknownNode { nodes: 20, .. })
+        ));
+    }
+
+    #[test]
+    fn validate_keeps_membership_at_or_above_rf() {
+        // Decommissioning 18 of 20 nodes under RF 5: the 16th leaves 4.
+        let mut s = FaultSchedule::empty();
+        for i in 0..18 {
+            s.push(
+                1.0 + i as f64,
+                FaultEvent::DecommissionNode { node: NodeId(i) },
+            );
+        }
+        let err = s.validate(20, 5).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::BelowReplicationFactor {
+                at: SimTime::from_secs(16),
+                node: NodeId(15),
+                members: 4,
+                rf: 5,
+            }
+        );
+        assert!(err.to_string().contains("fewer than RF 5"));
+        // Down to exactly RF is fine; a join makes room for one more, and
+        // retiring a node twice removes it once.
+        let mut s = FaultSchedule::empty().join_at(0.5, 0, 0);
+        for i in 0..16 {
+            s.push(
+                1.0 + i as f64,
+                FaultEvent::DecommissionNode { node: NodeId(i) },
+            );
+        }
+        s.push(20.0, FaultEvent::DecommissionNode { node: NodeId(0) });
+        assert_eq!(s.validate(20, 5), Ok(()));
+    }
+
+    #[test]
+    fn random_schedules_validate_against_their_node_count() {
+        let config = RandomFaultConfig {
+            crash_rate_per_sec: 0.5,
+            slow_rate_per_sec: 0.5,
+            partition_rate_per_sec: 0.3,
+            ..RandomFaultConfig::default()
+        };
+        for seed in 0..100 {
+            let nodes = 2 + (seed as usize % 19);
+            let s = FaultSchedule::random(seed, 20.0, nodes, &config);
+            assert!(!s.is_empty());
+            assert_eq!(s.validate(nodes, 3), Ok(()), "seed {seed}, {nodes} nodes");
+        }
     }
 
     #[test]

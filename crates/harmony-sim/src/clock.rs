@@ -49,7 +49,7 @@ impl SimTime {
         if ms <= 0.0 || !ms.is_finite() {
             return SimTime::ZERO;
         }
-        SimTime((ms * 1e6).round() as u64)
+        SimTime(round_positive(ms * 1e6))
     }
 
     /// Creates a time from fractional seconds (negative inputs clamp to zero).
@@ -57,7 +57,7 @@ impl SimTime {
         if s <= 0.0 || !s.is_finite() {
             return SimTime::ZERO;
         }
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_positive(s * 1e9))
     }
 
     /// The raw nanosecond count.
@@ -100,12 +100,29 @@ impl SimTime {
         if factor <= 0.0 || !factor.is_finite() {
             return SimTime::ZERO;
         }
-        SimTime((self.0 as f64 * factor).round() as u64)
+        SimTime(round_positive(self.0 as f64 * factor))
     }
 
     /// True if this is the simulation origin / a zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// `x.round() as u64` for `x >= 0`, without the libm `round` call that
+/// `f64::round` makes on the baseline x86-64 target: every latency and
+/// service sample goes through it. Below 2⁵², truncate through `i64`
+/// (x86-64 converts `i64` in one instruction each way but has none for
+/// `u64`, and a `u64` form measured slower than libm) and add one if the
+/// dropped fraction is at least one half; `x - ⌊x⌋` is exact there
+/// (Sterbenz). From 2⁵² up every `x` is already an integer, and the
+/// saturating cast gives `u64::MAX` from 2⁶⁴ up, as `round` then `as` does.
+fn round_positive(x: f64) -> u64 {
+    if x < 4_503_599_627_370_496.0 {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -214,6 +231,58 @@ mod tests {
         assert_eq!(a.scale(0.5), SimTime::from_millis(5));
         assert_eq!(a.scale(-3.0), SimTime::ZERO);
         assert_eq!(a.scale(f64::NAN), SimTime::ZERO);
+    }
+
+    #[test]
+    fn round_positive_equals_f64_round() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |x: f64| assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+        let neighbours = |x: f64| {
+            [
+                f64::from_bits(x.to_bits() - 1),
+                x,
+                f64::from_bits(x.to_bits() + 1),
+            ]
+        };
+        check(0.0);
+        check(0.499_999_999_999_999_94);
+        // k + 0.5 and k - 0.5 at every binade up to 2^53, and their neighbours.
+        for e in 0..=53 {
+            let k = (1u64 << e) as f64;
+            for x in [k + 0.5, k - 0.5, k + 1.5, 2.0 * k - 0.5] {
+                neighbours(x).into_iter().for_each(check);
+            }
+        }
+        // Integers from 2^52 to 2^64, where every float is one.
+        for e in 52..64 {
+            let k = (1u64 << e) as f64;
+            for x in [k, 1.5 * k, 2.0 * k] {
+                neighbours(x).into_iter().for_each(check);
+            }
+        }
+        // At and past 2^64, where the cast saturates.
+        for x in [18_446_744_073_709_551_616.0, 1e20, 1e300, f64::MAX] {
+            neighbours(x).into_iter().for_each(check);
+        }
+        // Subnormals.
+        for x in [
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+        ] {
+            neighbours(x).into_iter().for_each(check);
+        }
+        let mut rng = StdRng::seed_from_u64(20120920);
+        for _ in 0..500_000 {
+            // Every finite positive bit pattern, and fractional values at the
+            // magnitudes the simulator's nanosecond samples take.
+            let x = f64::from_bits(rng.gen::<u64>() >> 1);
+            if x.is_finite() {
+                check(x);
+            }
+            check(rng.gen::<f64>() * 1e10);
+        }
     }
 
     #[test]

@@ -123,6 +123,8 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^theta`: the probability mass of rank 1 relative to rank 0.
+    half_pow_theta: f64,
     zeta2theta: f64,
 }
 
@@ -140,6 +142,7 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
             zeta2theta,
         }
     }
@@ -168,7 +171,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);

@@ -506,7 +506,18 @@ impl Runner {
     /// Attaches a fault schedule to replay during the run. An empty schedule
     /// is exactly equivalent to never calling this: no events are enqueued
     /// and no chaos-mode machinery (reaper, masks) perturbs the run.
+    ///
+    /// # Panics
+    /// Panics if the schedule names a node the cluster does not have or
+    /// decommissions below the replication factor
+    /// ([`FaultSchedule::validate`]).
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
+        faults
+            .validate(
+                self.cluster.node_count(),
+                self.cluster.config().replication_factor,
+            )
+            .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
         self.faults = faults;
         self
     }
@@ -1349,6 +1360,23 @@ mod tests {
         assert_eq!(result.fault_counters.crashes, 1);
         assert_eq!(result.fault_counters.restarts, 1);
         assert!(result.stats.duration_secs() > 0.4, "run spans the schedule");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault schedule")]
+    fn with_faults_rejects_a_decommission_below_rf() {
+        use harmony_sim::topology::NodeId;
+        let profile = profiles::grid5000_with_nodes(6);
+        // 6 nodes under RF 3: the fourth decommission leaves 2 members.
+        let faults = (0..4).fold(FaultSchedule::empty(), |s, i| {
+            s.decommission_at(0.1 * (i + 1) as f64, NodeId(i))
+        });
+        let _ = small_runner(
+            &profile,
+            Box::new(StaticPolicy::Eventual),
+            small_spec(2, 100),
+        )
+        .with_faults(faults);
     }
 
     #[test]

@@ -747,6 +747,30 @@ mod tests {
     }
 
     #[test]
+    fn both_sharded_paths_reject_a_schedule_naming_a_missing_node() {
+        use harmony_sim::topology::NodeId;
+        for shards in [1, 2] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_sharded_experiment(
+                    &profiles::grid5000_with_nodes(6),
+                    StoreConfig {
+                        replication_factor: 3,
+                        ..StoreConfig::default()
+                    },
+                    ControllerConfig::default(),
+                    Box::new(HarmonyPolicy::new(3, 0.2)),
+                    spec(2, 100, 50),
+                    FaultSchedule::empty().crash_at(0.1, NodeId(6)),
+                    shards,
+                )
+            });
+            let err = outcome.expect_err("a crash of node 6 on 6 nodes must be rejected");
+            let message = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("invalid fault schedule"), "{message}");
+        }
+    }
+
+    #[test]
     fn sharded_run_completes_the_requested_operations() {
         let r = run(4);
         assert!(r.stats.operations >= 12_000);
