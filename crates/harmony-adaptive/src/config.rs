@@ -3,10 +3,9 @@
 use harmony_model::queueing::{ProactiveConfig, QueueingModel};
 use harmony_model::staleness::PropagationModel;
 use harmony_monitor::collector::{EstimatorKind, MonitorConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an [`crate::controller::AdaptiveController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Monitoring module configuration (sweep period, estimator, aggregation).
     pub monitor: MonitorConfig,

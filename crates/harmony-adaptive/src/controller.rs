@@ -15,13 +15,14 @@ use harmony_monitor::collector::Monitor;
 use harmony_monitor::probe::ClusterProbe;
 use harmony_obs::audit::DecisionAudit;
 use harmony_sim::clock::SimTime;
+use harmony_sim::FixedState;
 use harmony_store::consistency::ConsistencyLevel;
 use harmony_store::keys::KeyId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// One control decision, recorded per monitoring tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// When the decision was taken.
     pub at: SimTime,
@@ -57,7 +58,7 @@ pub struct DecisionRecord {
 }
 
 /// One hot key's individual decision, as recorded by the split controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HotKeyDecision {
     /// The hot key's human-readable name (reports and tests compare these).
     pub key: String,
@@ -83,7 +84,7 @@ pub struct AdaptiveController {
     /// Hot keys currently escalated above the default level (split mode).
     /// Keyed by interned id: the per-read lookup hashes 4 bytes, not a
     /// string.
-    hot_set: HashMap<KeyId, ConsistencyLevel>,
+    hot_set: HashMap<KeyId, ConsistencyLevel, FixedState>,
     /// The same escalations in stable (key-sorted) order, for reporting.
     hot_decisions: Vec<HotKeyDecision>,
     decisions: Vec<DecisionRecord>,
@@ -115,7 +116,7 @@ impl AdaptiveController {
             replication_factor: replication_factor.max(1),
             current_read_level: ConsistencyLevel::One,
             current_write_level: ConsistencyLevel::One,
-            hot_set: HashMap::new(),
+            hot_set: HashMap::default(),
             hot_decisions: Vec::new(),
             decisions: Vec::new(),
             audit: None,

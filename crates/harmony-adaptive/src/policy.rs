@@ -5,10 +5,9 @@ use harmony_model::decision::{decide_with_estimate, ConsistencyDecision};
 use harmony_model::queueing::StalenessEstimate;
 use harmony_model::staleness::StaleReadModel;
 use harmony_store::consistency::ConsistencyLevel;
-use serde::{Deserialize, Serialize};
 
 /// The run-time information a policy may consult when picking a read level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyContext {
     /// Monitored read rate (operations/second).
     pub read_rate: f64,
@@ -167,7 +166,7 @@ impl ConsistencyPolicy for HarmonyPolicy {
 }
 
 /// The static baselines of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticPolicy {
     /// Always read at `ONE` (Cassandra's static eventual consistency).
     Eventual,

@@ -14,7 +14,7 @@ use harmony_sim::profiles::{self, ClusterProfile};
 use harmony_store::config::StoreConfig;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
 use harmony_ycsb::workloads::WorkloadSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The client thread counts swept in Figures 5 and 6.
 pub fn fig5_thread_counts() -> Vec<usize> {
@@ -27,7 +27,7 @@ pub fn fig4a_thread_phases() -> Vec<usize> {
 }
 
 /// A policy selection for an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Static eventual consistency (read ONE).
     Eventual,
@@ -214,7 +214,7 @@ pub fn scaled_workload_b(records: u64) -> WorkloadSpec {
 }
 
 /// One row of a thread-count sweep for one policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepRow {
     /// Policy label.
     pub policy: String,
@@ -255,7 +255,7 @@ impl SweepRow {
 
 /// One row of the skew sweep (`hotspot_split` binary): a (skew, policy,
 /// controller-kind) point with the aggregate and hot-key staleness split out.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SkewRow {
     /// Workload name including the skew suffix (e.g. `workload-a-zipfian`).
     pub workload: String,

@@ -136,8 +136,8 @@ mod tests {
         let dir = std::env::temp_dir().join("harmony-bench-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.json");
-        write_json(&path, &vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> =
+        write_json(&path, &vec![1u32, 2, 3]).unwrap();
+        let back: Vec<u32> =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
     }

@@ -12,7 +12,7 @@ use harmony_sim::clock::SimTime;
 use harmony_sim::topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One typed fault (or elasticity) event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,7 +93,7 @@ impl FaultEvent {
 }
 
 /// Why an event could not be added to a [`FaultSchedule`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
     /// Two events at the same tick contradict each other: both claim the
     /// same node's liveness/membership (e.g. crash + decommission of one
@@ -239,7 +239,7 @@ fn conflicts(a: &FaultEvent, b: &FaultEvent) -> bool {
 }
 
 /// A fault event bound to an absolute simulated timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledFault {
     /// When the fault fires (virtual time).
     pub at: SimTime,
@@ -249,7 +249,7 @@ pub struct ScheduledFault {
 
 /// Parameters of the seeded random fault generator: independent Poisson
 /// processes for crashes, slow-downs and partitions over a bounded horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomFaultConfig {
     /// Crash arrivals per virtual second (0 disables crashes).
     pub crash_rate_per_sec: f64,
@@ -284,37 +284,9 @@ impl Default for RandomFaultConfig {
 ///
 /// Events at equal timestamps fire in insertion order (the sim kernel's FIFO
 /// tie-break), so a schedule is replayed identically however it was built.
-/// Decoding one runs [`FaultSchedule::try_push`]'s checks on every event and
-/// rejects an event list that is not sorted by time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<ScheduledFault>,
-}
-
-/// The encoded form of a [`FaultSchedule`], checked before it is trusted.
-#[derive(Deserialize)]
-struct FaultScheduleWire {
-    events: Vec<ScheduledFault>,
-}
-
-impl Deserialize for FaultSchedule {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let mut schedule = FaultSchedule::empty();
-        for ScheduledFault { at, fault } in FaultScheduleWire::from_value(v)?.events {
-            if let Some(last) = schedule.events.last().filter(|last| at < last.at) {
-                return Err(DeError::custom(format!(
-                    "invalid fault schedule: {} at t={:.6}s follows t={:.6}s",
-                    fault.label(),
-                    at.as_secs_f64(),
-                    last.at.as_secs_f64()
-                )));
-            }
-            schedule
-                .try_insert(at, fault)
-                .map_err(|e| DeError::custom(format!("invalid fault schedule: {e}")))?;
-        }
-        Ok(schedule)
-    }
 }
 
 impl FaultSchedule {
@@ -373,13 +345,6 @@ impl FaultSchedule {
                 incoming: fault,
             });
         }
-        self.try_insert(SimTime::from_secs_f64(at_secs), fault)
-    }
-
-    /// [`FaultSchedule::try_push`] at an exact virtual time: checks the
-    /// slow-down factor and same-tick conflicts, then inserts after every
-    /// event at or before `at`.
-    fn try_insert(&mut self, at: SimTime, fault: FaultEvent) -> Result<(), ScheduleError> {
         if let FaultEvent::SlowNode {
             node,
             service_factor,
@@ -392,6 +357,7 @@ impl FaultSchedule {
                 });
             }
         }
+        let at = SimTime::from_secs_f64(at_secs);
         for e in self.events.iter().filter(|e| e.at == at) {
             if conflicts(&e.fault, &fault) {
                 return Err(ScheduleError::ConflictingSameTick {
@@ -984,66 +950,6 @@ mod tests {
             assert!(!s.is_empty());
             assert_eq!(s.validate(nodes, 3), Ok(()), "seed {seed}, {nodes} nodes");
         }
-    }
-
-    #[test]
-    fn schedules_serialize_round_trip() {
-        let s = FaultSchedule::empty()
-            .crash_at(0.5, NodeId(2))
-            .partition_at(1.0, vec![vec![NodeId(0)], vec![NodeId(1), NodeId(2)]])
-            .heal_at(2.0)
-            .join_at(3.0, 0, 1)
-            .decommission_at(4.0, NodeId(0));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn decoding_runs_the_push_checks_and_requires_time_order() {
-        let decode = |json: String| serde_json::from_str::<FaultSchedule>(&json);
-        let ok = FaultSchedule::empty()
-            .crash_at(0.5, NodeId(2))
-            .slow_at(1.0, NodeId(1), 3.0)
-            .restart_at(1.0, NodeId(2));
-        let json = serde_json::to_string(&ok).unwrap();
-        assert_eq!(decode(json.clone()).unwrap(), ok);
-        let crash_tick = serde_json::to_string(&ok.events()[0].at).unwrap();
-        let slow_tick = serde_json::to_string(&ok.events()[1].at).unwrap();
-        let event = |at: &str, fault: FaultEvent| {
-            format!(
-                "{{\"at\":{at},\"fault\":{}}}",
-                serde_json::to_string(&fault).unwrap()
-            )
-        };
-        let schedule = |events: &[String]| format!("{{\"events\":[{}]}}", events.join(","));
-
-        let zero_factor = schedule(&[event(
-            &slow_tick,
-            FaultEvent::SlowNode {
-                node: NodeId(1),
-                service_factor: 0.0,
-            },
-        )]);
-        let err = decode(zero_factor).unwrap_err().to_string();
-        assert!(err.contains("finite and > 0"), "{err}");
-
-        let contradictory = schedule(&[
-            event(&crash_tick, FaultEvent::CrashNode { node: NodeId(0) }),
-            event(
-                &crash_tick,
-                FaultEvent::DecommissionNode { node: NodeId(0) },
-            ),
-        ]);
-        let err = decode(contradictory).unwrap_err().to_string();
-        assert!(err.contains("conflicting events"), "{err}");
-
-        let out_of_order = schedule(&[
-            event(&slow_tick, FaultEvent::CrashNode { node: NodeId(0) }),
-            event(&crash_tick, FaultEvent::RestartNode { node: NodeId(0) }),
-        ]);
-        let err = decode(out_of_order).unwrap_err().to_string();
-        assert!(err.contains("follows"), "{err}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! fault schedule byte-identical to a run without the chaos layer.
 
 use harmony_sim::topology::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cumulative counts of the faults applied so far, for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultCounters {
     /// Nodes crashed.
     pub crashes: u64,
@@ -44,7 +44,7 @@ impl FaultCounters {
 }
 
 /// Per-node fault and membership state for a cluster of stable `NodeId`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
     /// Liveness per node slot (false = crashed).
     alive: Vec<bool>,
@@ -408,15 +408,5 @@ mod tests {
         s.heal();
         assert!(s.reachable(new, NodeId(0)));
         assert!(s.reachable(new, NodeId(4)));
-    }
-
-    #[test]
-    fn state_serializes_round_trip() {
-        let mut s = FaultState::new(3);
-        s.crash(NodeId(2));
-        s.partition(&[vec![NodeId(0)], vec![NodeId(1), NodeId(2)]]);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultState = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

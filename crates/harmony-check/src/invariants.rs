@@ -8,12 +8,12 @@
 use harmony_model::staleness::StaleReadModel;
 use harmony_store::machine::HarmonyMachine;
 use harmony_store::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::{Scenario, ScenarioOp};
 
 /// One broken invariant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Violation {
     /// Which invariant broke (`"durability"`, `"convergence"`,
     /// `"accounting"`, `"staleness"`).

@@ -11,13 +11,12 @@ use harmony_sim::rng::RngFactory;
 use harmony_sim::topology::{NetworkModel, Topology};
 use harmony_store::machine::HarmonyMachine;
 use harmony_store::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::explorer::CheckerCtx;
 
 /// One client operation submitted before exploration starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioOp {
     /// A client write of a one-field mutation (the value encodes the op's
     /// position so divergent replicas are visibly divergent).
@@ -37,7 +36,7 @@ pub enum ScenarioOp {
 }
 
 /// A fully-specified checkable scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Registry name — traces reference scenarios by this.
     pub name: String,

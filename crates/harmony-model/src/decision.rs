@@ -10,10 +10,9 @@
 
 use crate::queueing::StalenessEstimate;
 use crate::staleness::StaleReadModel;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of the Harmony decision scheme for the next batch of reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsistencyDecision {
     /// The estimated stale-read rate is already within the tolerated rate:
     /// read from a single replica (consistency level ONE).

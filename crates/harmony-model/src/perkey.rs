@@ -24,10 +24,9 @@
 
 use crate::queueing::{StalenessEstimate, SPREAD_SHAPE};
 use crate::staleness::StaleReadModel;
-use serde::{Deserialize, Serialize};
 
 /// One key's monitored load: the inputs the per-key model specialises on.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KeyLoad {
     /// The key's read arrival rate (reads/second).
     pub read_rate: f64,

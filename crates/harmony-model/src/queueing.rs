@@ -46,12 +46,10 @@
 //! and every formula reduces exactly to the closed form of
 //! [`crate::staleness::StaleReadModel`].
 
-use serde::{Deserialize, Serialize};
-
 /// An M/G/1 queue: Poisson arrivals at `arrival_rate`, service times with the
 /// given mean and squared coefficient of variation (SCV; 1 = exponential,
 /// 0 = deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MG1Queue {
     /// Arrival rate λ (jobs per second).
     pub arrival_rate: f64,
@@ -167,7 +165,7 @@ impl MG1Queue {
 
 /// One monitoring sweep's view of the write stage, aggregated over replicas.
 /// All fields are clamped to be non-negative by consumers.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WriteStageObservation {
     /// Replica-write arrival rate *per replica service slot group*, i.e. the
     /// arrival rate one node's mutation stage sees (jobs/s).
@@ -226,7 +224,7 @@ const DIVERGENCE_UTILIZATION: f64 = 0.9;
 /// Disabled by default; with `enabled = false` every estimate is bit-for-bit
 /// identical to the reactive model — the proactive terms are never even
 /// computed, so no `0·∞` arithmetic can leak a NaN into the reactive path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProactiveConfig {
     /// Master switch. Off ⇒ the reactive estimate, byte-identically.
     pub enabled: bool,
@@ -248,7 +246,7 @@ impl ProactiveConfig {
 /// window during which the remaining replicas lag. The default of 1.0 is the
 /// conservative interpretation; the experiment harness calibrates it per
 /// platform exactly like the latency fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingModel {
     /// Fraction of the measured queue-wait dispersion entering the staleness
     /// window (calibration knob, `[0, 1]`).
@@ -421,7 +419,7 @@ impl QueueingModel {
 /// The update propagation time as a distribution: a deterministic network
 /// component plus a Gamma-distributed queue-wait spread, along with the queue
 /// health indicators the policy consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StalenessEstimate {
     /// Deterministic network-transfer component of `Tp` (seconds).
     pub tp_network_secs: f64,

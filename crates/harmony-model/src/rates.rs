@@ -7,12 +7,10 @@
 //! seconds of samples, the behaviour closest to the paper's periodic
 //! collection. A window no longer than the sweep interval keeps exactly the
 //! latest sample.
-
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A point-in-time estimate of the cluster-wide access rates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RateEstimate {
     /// Read operations per second.
     pub reads_per_sec: f64,

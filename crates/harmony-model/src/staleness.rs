@@ -18,7 +18,6 @@
 
 use crate::poisson::{exponential_cdf, gamma_pdf};
 use crate::queueing::StalenessEstimate;
-use serde::{Deserialize, Serialize};
 
 /// Debug-assert that model inputs are physical (non-negative). Release builds
 /// clamp instead (see the `*_saturating` entry points), matching the paper's
@@ -47,7 +46,7 @@ macro_rules! debug_check_rates {
 /// Models the update propagation time `Tp(Ln, avg_write_size)` (paper §IV):
 /// the time for a write to reach all replicas once it has been committed on
 /// the first one, as a function of the network latency and the payload size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropagationModel {
     /// Fixed per-replica processing overhead added on top of the network
     /// latency, in milliseconds (commit-log append, memtable insert, ...).
@@ -108,7 +107,7 @@ impl PropagationModel {
 }
 
 /// The stale-read estimation model for a store with a fixed replication factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaleReadModel {
     replication_factor: usize,
 }

@@ -12,17 +12,16 @@ use harmony_model::queueing::MG1Queue;
 use harmony_model::rates::SlidingWindowRate;
 use harmony_sim::clock::SimTime;
 use harmony_store::keys::KeyId;
-use serde::{Deserialize, Serialize};
 
 /// The rate estimator the monitor feeds its counter deltas into.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorKind {
     /// Rates over a sliding window of the given length in seconds.
     SlidingWindow(f64),
 }
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Time between sweeps, in seconds (the paper's monitoring period).
     pub interval_secs: f64,
@@ -78,7 +77,7 @@ impl MonitorConfig {
 }
 
 /// One monitoring sweep's results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorSample {
     /// When the sweep completed.
     pub at: SimTime,
@@ -128,7 +127,7 @@ pub struct MonitorSample {
 
 /// One hot key's monitored state after a sweep: the per-key signals the
 /// split controller specialises the staleness model with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotKeyStat {
     /// The interned key (what the read path's hot-set lookup matches on).
     pub key: KeyId,

@@ -29,6 +29,7 @@
 //! randomness, stable iteration order, stable tie-breaking — so two runs
 //! with the same seed produce identical hot sets.
 
+use harmony_sim::FixedState;
 use harmony_store::keys::KeyId;
 use std::collections::HashMap;
 
@@ -61,7 +62,7 @@ pub struct SpaceSavingSketch {
     /// Entries in insertion order (stable across runs — the stream order is
     /// deterministic under a fixed seed, so this is too).
     entries: Vec<SketchEntry>,
-    index: HashMap<KeyId, usize>,
+    index: HashMap<KeyId, usize, FixedState>,
 }
 
 impl SpaceSavingSketch {
@@ -72,7 +73,7 @@ impl SpaceSavingSketch {
             capacity,
             total: 0,
             entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, FixedState::default()),
         }
     }
 
@@ -262,9 +263,9 @@ pub struct HotKeyTracker {
     /// Minimum guaranteed share for a key to count as hot.
     min_share: f64,
     /// Counter values at the previous sweep, for delta-based rates.
-    prev_counts: HashMap<KeyId, u64>,
+    prev_counts: HashMap<KeyId, u64, FixedState>,
     /// Smoothed per-key arrival rates.
-    rates: HashMap<KeyId, f64>,
+    rates: HashMap<KeyId, f64, FixedState>,
 }
 
 impl HotKeyTracker {
@@ -274,8 +275,8 @@ impl HotKeyTracker {
         HotKeyTracker {
             sketch: SpaceSavingSketch::new(capacity),
             min_share: min_share.clamp(0.0, 1.0),
-            prev_counts: HashMap::new(),
-            rates: HashMap::new(),
+            prev_counts: HashMap::default(),
+            rates: HashMap::default(),
         }
     }
 
@@ -331,7 +332,7 @@ impl HotKeyTracker {
         }
         // Evicted keys must not leak memory (or stale rates back) if the key
         // re-enters the sketch later.
-        let tracked: std::collections::HashSet<KeyId> =
+        let tracked: std::collections::HashSet<KeyId, FixedState> =
             self.sketch.entries().iter().map(|e| e.key).collect();
         self.prev_counts.retain(|k, _| tracked.contains(k));
         self.rates.retain(|k, _| tracked.contains(k));

@@ -12,14 +12,14 @@
 //! to bucket resolution no matter how the samples were partitioned.
 
 use harmony_sim::clock::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of linear sub-buckets per power of two (controls relative error).
 const SUB_BUCKETS: usize = 64;
 
 /// A log-bucketed histogram over non-negative microsecond (or unit-less)
 /// values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -176,7 +176,7 @@ impl LatencyHistogram {
 }
 
 /// A compact latency summary (what experiment reports carry around).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct LatencySummary {
     /// Number of observations.
     pub count: u64,

@@ -33,12 +33,10 @@ pub use recorder::FlightRecorder;
 pub use registry::{series_name, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use trace::{OpTrace, OpTracer, SpanKind, TraceEvent, CLIENT_NODE};
 
-use serde::{Deserialize, Serialize};
-
 /// Observability knobs. Everything defaults off; [`ObsConfig::enabled`] is
 /// the standard "all on at default sampling rate" preset the overhead gate
 /// measures.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObsConfig {
     /// Trace every `trace_sample_every`-th op (0 = tracing off).
     pub trace_sample_every: u64,

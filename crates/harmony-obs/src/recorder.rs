@@ -6,10 +6,9 @@
 //! survive the slowest-K ranking).
 
 use crate::trace::OpTrace;
-use serde::{Deserialize, Serialize};
 
 /// Bounded retention of finished op traces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     /// Retain this many slowest completed traces.
     keep_slowest: usize,

@@ -5,7 +5,7 @@
 //! simulation bit-for-bit reproducible across platforms, which floating-point
 //! timestamps would not.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -13,9 +13,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// `SimTime` is also used to represent durations (the type is a plain
 /// monotonic offset); [`SimTime::ZERO`] is the simulation origin.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

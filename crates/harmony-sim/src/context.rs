@@ -16,7 +16,7 @@
 
 use crate::clock::SimTime;
 use crate::engine::Simulation;
-use serde::{Deserialize, Serialize};
+use crate::FixedState;
 use std::collections::HashMap;
 
 /// The context a pure event-driven state machine runs against: a read-only
@@ -50,7 +50,7 @@ impl<E, F: From<E>> EventCtx<E> for Simulation<F> {
 /// Identifies one armed timer. Ids are never reused by a [`TimerTable`], so a
 /// stale wake-up event carrying an old id is harmless: firing it finds
 /// nothing armed and does nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(pub u64);
 
 /// Timers as owned resources. Arming hands out a fresh [`TimerId`]; the
@@ -62,7 +62,7 @@ pub struct TimerId(pub u64);
 #[derive(Debug, Clone, Default)]
 pub struct TimerTable<T> {
     next: u64,
-    armed: HashMap<u64, T>,
+    armed: HashMap<u64, T, FixedState>,
 }
 
 impl<T> TimerTable<T> {
@@ -70,7 +70,7 @@ impl<T> TimerTable<T> {
     pub fn new() -> Self {
         TimerTable {
             next: 0,
-            armed: HashMap::new(),
+            armed: HashMap::default(),
         }
     }
 

@@ -10,13 +10,12 @@
 use crate::clock::SimTime;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal, Pareto};
-use serde::{Deserialize, Serialize};
 
 /// A sampleable one-way network latency model.
 ///
 /// All parameters are expressed in milliseconds; samples are returned as
 /// [`SimTime`]. Every variant clamps at a non-negative value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Latency {
     /// A fixed latency.
     Constant {
@@ -317,13 +316,5 @@ mod tests {
     fn sample_to_simtime() {
         let l = Latency::constant_ms(1.5);
         assert_eq!(l.sample(&mut rng()), SimTime::from_millis_f64(1.5));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let l = Latency::lognormal_ms(2.0, 0.4).with_spikes(0.01, 8.0);
-        let json = serde_json::to_string(&l).unwrap();
-        let back: Latency = serde_json::from_str(&json).unwrap();
-        assert!((back.mean_ms() - l.mean_ms()).abs() < 1e-12);
     }
 }

@@ -61,3 +61,10 @@ pub use event::EventQueue;
 pub use latency::Latency;
 pub use service::ServiceModel;
 pub use topology::{NodeId, Topology};
+
+/// The hasher of every map on a simulated path: std's SipHash with fixed
+/// keys in place of a per-process random seed, so a map's layout, and with
+/// it a run's allocation count, repeats exactly from run to run. The keys
+/// of those maps are made by the program (generated record names, op and
+/// key ids), so no outside input can aim collisions at the fixed keys.
+pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;

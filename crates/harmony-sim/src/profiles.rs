@@ -16,11 +16,10 @@
 
 use crate::latency::Latency;
 use crate::topology::{NetworkModel, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A named experimental platform: topology plus network behaviour plus the
 /// replication settings the paper used on it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterProfile {
     /// Human-readable platform name.
     pub name: String,

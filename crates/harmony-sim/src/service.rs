@@ -17,10 +17,9 @@
 use crate::clock::SimTime;
 use crate::topology::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A per-node Erlang service-time model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceModel {
     /// Baseline mean service time in milliseconds.
     pub mean_ms: f64,

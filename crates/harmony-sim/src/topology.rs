@@ -29,7 +29,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The physical location of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Datacenter index.
     pub dc: u16,
@@ -38,7 +38,7 @@ pub struct Location {
 }
 
 /// Relative distance class between two nodes, used to pick a latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proximity {
     /// The same physical node (loopback).
     SameNode,
@@ -51,7 +51,7 @@ pub enum Proximity {
 }
 
 /// The layout of a storage cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     locations: Vec<Location>,
 }
@@ -153,7 +153,7 @@ impl Topology {
 }
 
 /// Latency models per proximity class, forming the cluster network model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// Loopback latency (coordinator reading its own replica).
     pub same_node: Latency,

@@ -40,7 +40,7 @@ use harmony_sim::service::ServiceModel;
 use harmony_sim::topology::{Location, NetworkModel, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Guards a backlog value computed by the store's telemetry scans: a negative
@@ -54,7 +54,7 @@ fn non_negative_backlog(ms: f64) -> f64 {
 }
 
 /// A finished client operation, reported when its reply reaches the client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// Operation id.
     pub op: OpId,
@@ -95,7 +95,7 @@ impl Completion {
 }
 
 /// Cluster-wide cumulative statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ClusterTotals {
     /// Reads submitted.
     pub reads_submitted: u64,

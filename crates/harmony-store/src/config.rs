@@ -2,10 +2,9 @@
 
 use crate::engine::EngineConfig;
 use crate::placement::ReplicationStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::cluster::Cluster`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Replication factor `N` (the paper uses 5 on both testbeds).
     pub replication_factor: usize,

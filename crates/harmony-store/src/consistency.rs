@@ -6,10 +6,8 @@
 //! number of replicas `Xn` and issues subsequent reads at level
 //! [`ConsistencyLevel::Replicas`]`(Xn)`.
 
-use serde::{Deserialize, Serialize};
-
 /// How many replicas must participate synchronously in an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsistencyLevel {
     /// A single replica (basic eventual consistency; Cassandra `ONE`).
     One,

@@ -15,7 +15,6 @@
 
 use crate::keys::KeyId;
 use crate::types::{Mutation, Row, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,11 +22,11 @@ use std::sync::Arc;
 /// Configuration of a node's storage engine. The engine has no knobs; the
 /// type remains so `StoreConfig::engine` and [`StorageEngine::new`] keep
 /// their shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineConfig;
 
 /// Counters describing the work an engine has performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Always 0: the engine never flushes. Kept for the benchmark surface;
     /// goes at the next benchmark change.

@@ -8,7 +8,6 @@
 
 use harmony_sim::rng::{fnv1a, mix};
 use harmony_sim::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Hashes a key onto the 64-bit token space.
 pub fn key_token(key: &str) -> u64 {
@@ -16,7 +15,7 @@ pub fn key_token(key: &str) -> u64 {
 }
 
 /// A token owned by a (virtual) node on the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenEntry {
     /// Position on the ring.
     pub token: u64,
@@ -25,7 +24,7 @@ pub struct TokenEntry {
 }
 
 /// A consistent-hash ring mapping tokens to physical nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashRing {
     entries: Vec<TokenEntry>,
     nodes: usize,

@@ -16,13 +16,14 @@
 //! `KeyId(i) == record i`, so the YCSB runner's index → key mapping is a
 //! plain array lookup with no hashing at all.
 
-use serde::{Deserialize, Serialize};
+use harmony_sim::FixedState;
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A compact interned row key: 4 bytes, `Copy`, hashable, ordered by
 /// interning order (not lexicographically — resolve through the
 /// [`KeyTable`] when name order matters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct KeyId(pub u32);
 
 impl KeyId {
@@ -48,7 +49,7 @@ impl std::fmt::Display for KeyId {
 #[derive(Debug, Default, Clone)]
 pub struct KeyTable {
     names: Vec<String>,
-    ids: HashMap<String, KeyId>,
+    ids: HashMap<String, KeyId, FixedState>,
 }
 
 impl KeyTable {
@@ -61,7 +62,7 @@ impl KeyTable {
     pub fn with_capacity(capacity: usize) -> Self {
         KeyTable {
             names: Vec::with_capacity(capacity),
-            ids: HashMap::with_capacity(capacity),
+            ids: HashMap::with_capacity_and_hasher(capacity, FixedState::default()),
         }
     }
 

@@ -29,11 +29,10 @@ use crate::types::Mutation;
 use harmony_chaos::FaultEvent;
 use harmony_sim::clock::SimTime;
 use harmony_sim::context::{EventCtx, TimerId, TimerTable};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Timers owned by the protocol machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolTimer {
     /// The chaos-mode stall reaper: when it fires, every operation pending
     /// longer than `timeout` is aborted, and the reaper re-arms itself
@@ -60,7 +59,7 @@ pub enum ProtocolTimer {
 
 /// The protocol core's complete event alphabet: everything that can happen
 /// to the cluster arrives as one of these.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MachineEvent {
     /// Message delivery / service completion / client reply.
     Store(StoreEvent),

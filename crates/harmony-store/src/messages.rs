@@ -11,15 +11,14 @@ use crate::consistency::ConsistencyLevel;
 use crate::keys::KeyId;
 use crate::types::{Mutation, Row, Timestamp};
 use harmony_sim::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Unique identifier of a client operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u64);
 
 /// The kind of a client operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A row read.
     Read,
@@ -28,7 +27,7 @@ pub enum OpKind {
 }
 
 /// A message addressed to a node (coordinator or replica) of the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A client read arriving at its coordinator.
     ClientRead {
@@ -165,7 +164,7 @@ impl Message {
 }
 
 /// The store's simulation event type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoreEvent {
     /// A message arrives at `dest` after its network latency.
     Deliver {

@@ -11,12 +11,11 @@ use crate::keys::KeyId;
 use crate::messages::Message;
 use crate::types::{Mutation, Row, Timestamp};
 use harmony_sim::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Cumulative per-node operation counters — the analogue of the counters the
 /// paper's monitoring module collects with Cassandra's `nodetool`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Replica read operations served.
     pub reads: u64,
@@ -58,7 +57,7 @@ impl Stage {
 /// service counts and accumulated (sampled) service times let the monitor
 /// derive per-replica arrival rates, the mean service time and its variance;
 /// the live queue length and busy slots give the instantaneous backlog.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WriteStageTelemetry {
     /// Mutations (client writes, async propagation, read repair) that entered
     /// the write stage — queued or started.

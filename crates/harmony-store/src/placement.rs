@@ -14,7 +14,7 @@
 use crate::hashring::{key_token, HashRing};
 use crate::keys::KeyId;
 use harmony_sim::topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use harmony_sim::FixedState;
 use std::collections::HashSet;
 
 /// Upper bound on the replication factor the inline replica-set cache
@@ -210,7 +210,7 @@ impl PlacementCache {
 }
 
 /// How the store maps a key to its `RF` replica nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationStrategy {
     /// Ring order, topology-oblivious.
     Simple,
@@ -256,8 +256,8 @@ impl ReplicationStrategy {
             ReplicationStrategy::Simple => ring.preference_list_from(range, rf),
             ReplicationStrategy::NetworkTopology => {
                 let mut chosen: Vec<NodeId> = Vec::with_capacity(rf);
-                let mut used_racks: HashSet<(u16, u16)> = HashSet::new();
-                let mut used_dcs: HashSet<u16> = HashSet::new();
+                let mut used_racks: HashSet<(u16, u16), FixedState> = HashSet::default();
+                let mut used_dcs: HashSet<u16, FixedState> = HashSet::default();
                 let candidates = ring.preference_list_from(range, topology.len());
 
                 // Pass 1: nodes in datacenters not yet covered.

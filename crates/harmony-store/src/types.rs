@@ -17,7 +17,6 @@
 //! fast as a tree, and a flat vector makes each row, and each copy-on-write
 //! clone of it, a single exactly sized allocation of 16 bytes per column.
 
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,9 +28,7 @@ pub type Key = String;
 
 /// A logical timestamp attached to every written cell (nanosecond-scale,
 /// coordinator-assigned, strictly monotonic per cluster).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -313,82 +310,6 @@ impl Mutation {
     /// True if the mutation touches no columns.
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
-    }
-}
-
-// Serialisation keeps the owned-bytes JSON shape that checker counterexample
-// traces are stored in: a cell is `{"value":[..],"timestamp":1}`, a row
-// `{"columns":{"f":<cell>}}` and a mutation `{"columns":{"f":[..]}}`, each
-// object in name order. `Serialize` writes it directly; `Deserialize` reads
-// the owned wire form and shares it.
-
-impl Serialize for Cell {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("value".to_string(), self.value().to_value()),
-            ("timestamp".to_string(), self.timestamp.to_value()),
-        ])
-    }
-}
-
-/// `{"columns":{..}}` over name-ordered `(name, value)` entries.
-fn columns_object(columns: Vec<(String, Value)>) -> Value {
-    Value::Object(vec![("columns".to_string(), Value::Object(columns))])
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        columns_object(
-            self.iter()
-                .map(|(name, cell)| (name.to_string(), cell.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl Serialize for Mutation {
-    fn to_value(&self) -> Value {
-        columns_object(
-            self.fields
-                .iter()
-                .map(|f| (f.name.to_string(), f.value.to_value()))
-                .collect(),
-        )
-    }
-}
-
-#[derive(Deserialize)]
-struct CellWire {
-    value: Vec<u8>,
-    timestamp: Timestamp,
-}
-
-#[derive(Deserialize)]
-struct RowWire {
-    columns: BTreeMap<String, CellWire>,
-}
-
-#[derive(Deserialize)]
-struct MutationWire {
-    columns: BTreeMap<String, Vec<u8>>,
-}
-
-impl Deserialize for Row {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let columns = RowWire::from_value(v)?.columns;
-        Ok(columns
-            .into_iter()
-            .map(|(name, c)| Cell {
-                field: Field::shared(name, c.value),
-                timestamp: c.timestamp,
-            })
-            .collect())
-    }
-}
-
-impl Deserialize for Mutation {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        MutationWire::from_value(v).map(|w| Mutation::multi(w.columns))
     }
 }
 

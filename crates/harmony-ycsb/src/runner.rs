@@ -30,7 +30,7 @@ use harmony_store::shard::ShardPartition;
 use harmony_store::types::{Mutation, Timestamp};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -77,7 +77,7 @@ impl From<StoreEvent> for RunnerEvent {
 /// closed loop into a retry storm. The default policy is fully disabled and
 /// provably free: no event is ever enqueued, and runs are byte-identical to
 /// a runner without the feature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per logical operation, the original included
     /// (`1` = never retry).
@@ -161,7 +161,7 @@ struct RetryCtx {
 
 /// One phase of an experiment: a number of concurrent client sessions and the
 /// number of operations to complete before moving to the next phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Phase {
     /// Concurrent closed-loop client sessions ("client threads").
     pub threads: usize,
@@ -180,7 +180,7 @@ impl Phase {
 }
 
 /// An experiment specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// The workload (operation mix, key distribution, record population).
     pub workload: WorkloadSpec,
@@ -244,7 +244,7 @@ impl ExperimentSpec {
 }
 
 /// Per-phase measured output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhaseResult {
     /// The phase as specified.
     pub phase: Phase,
@@ -253,7 +253,7 @@ pub struct PhaseResult {
 }
 
 /// The full result of one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentResult {
     /// Name of the policy that drove read consistency (e.g. `"harmony-20"`).
     pub policy: String,
@@ -290,7 +290,7 @@ pub struct ExperimentResult {
 
 /// One chaos-tick divergence sample (see
 /// [`ExperimentResult::divergence_timeline`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DivergenceSample {
     /// Virtual time of the monitoring tick, in seconds.
     pub at_secs: f64,

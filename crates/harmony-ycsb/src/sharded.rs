@@ -45,6 +45,7 @@ use harmony_obs::{FlightRecorder, MetricsRegistry, ObsConfig, ObsReport};
 use harmony_sim::barrier::{ShardBarrier, ShardWorker};
 use harmony_sim::clock::SimTime;
 use harmony_sim::profiles::ClusterProfile;
+use harmony_sim::FixedState;
 use harmony_store::cluster::ClusterTotals;
 use harmony_store::config::StoreConfig;
 use harmony_store::consistency::ConsistencyLevel;
@@ -73,7 +74,7 @@ pub(crate) struct ShardContext {
     /// Write level from the last coordinator directive.
     pub(crate) write: ConsistencyLevel,
     /// Escalated per-key read levels (local ids) from the last directive.
-    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
+    pub(crate) hot: HashMap<KeyId, ConsistencyLevel, FixedState>,
 }
 
 impl ShardContext {
@@ -91,7 +92,7 @@ impl ShardContext {
             insert_base: partition.first_owned_at_or_after(record_count) as u64,
             default_read: ConsistencyLevel::One,
             write: ConsistencyLevel::One,
-            hot: HashMap::new(),
+            hot: HashMap::default(),
         }
     }
 
@@ -157,7 +158,7 @@ pub(crate) struct ShardReport {
     /// global ids.
     sketch: SpaceSavingSketch,
     /// Per-key mutation backlog (ms) for every sketch-tracked key.
-    hot_backlogs: HashMap<KeyId, f64>,
+    hot_backlogs: HashMap<KeyId, f64, FixedState>,
 }
 
 /// The coordinator's per-tick broadcast: the consistency levels every shard
@@ -887,7 +888,7 @@ mod tests {
             replica_backlogs: vec![0.0; 8],
             telemetry: Vec::new(),
             sketch: SpaceSavingSketch::new(4),
-            hot_backlogs: HashMap::new(),
+            hot_backlogs: HashMap::default(),
         };
         let reports = vec![Some(report(7, 4)), Some(report(8, 3))];
         let probe = MergedProbe {

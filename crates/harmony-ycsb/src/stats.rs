@@ -7,10 +7,10 @@
 
 use harmony_obs::hist::LatencyHistogram;
 use harmony_sim::clock::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate statistics of one experiment run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RunStats {
     /// Read-latency histogram.
     pub read_latency: LatencyHistogram,

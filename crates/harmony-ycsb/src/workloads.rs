@@ -7,10 +7,9 @@
 
 use crate::distributions::KeyChooser;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which key distribution a workload uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestDistribution {
     /// Every record equally likely.
     Uniform,
@@ -25,7 +24,7 @@ pub enum RequestDistribution {
 }
 
 /// The kind of operation a workload step performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operation {
     /// Read one row.
     Read,
@@ -38,7 +37,7 @@ pub enum Operation {
 }
 
 /// A YCSB-style workload specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Short name used in reports (e.g. `"workload-a"`).
     pub name: String,

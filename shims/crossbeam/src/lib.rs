@@ -32,25 +32,9 @@ pub mod channel {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl<T: std::fmt::Debug> std::error::Error for SendError<T> {}
-
     /// The channel is empty and all senders are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "receiving on an empty, disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
 
     /// Creates a channel with unlimited buffering.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {

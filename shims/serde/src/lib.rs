@@ -6,8 +6,9 @@
 //! to/from JSON text. The `#[derive(Serialize, Deserialize)]` macros are
 //! provided by the companion `serde_derive` proc-macro crate and generate the
 //! same externally-tagged representation real serde would for the shapes this
-//! workspace uses (named structs, newtype/tuple structs, enums with unit,
-//! tuple and struct variants).
+//! workspace uses (named structs, newtype structs, enums with unit and struct
+//! variants). `Deserialize` is implemented only for what the workspace
+//! decodes: unsigned integers, `f64`, `String` and `Vec`.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -38,13 +39,6 @@ impl Value {
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -107,86 +101,61 @@ pub fn object_field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Va
 
 // ---------------------------------------------------------------- primitives
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::I64(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n: i64 = match *v {
-                    Value::I64(n) => n,
-                    Value::U64(n) => i64::try_from(n)
-                        .map_err(|_| DeError(format!("integer {n} out of range")))?,
-                    Value::F64(f) if f.fract() == 0.0 && f.abs() < 9.0e18 => f as i64,
-                    ref other => return type_err("integer", other),
-                };
-                <$t>::try_from(n).map_err(|_| DeError(format!("integer {n} out of range")))
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-
-macro_rules! impl_unsigned {
+macro_rules! impl_integer {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                let wide = *self as u64;
-                if wide <= i64::MAX as u64 { Value::I64(wide as i64) } else { Value::U64(wide) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n: u64 = match *v {
-                    Value::I64(n) => u64::try_from(n)
-                        .map_err(|_| DeError(format!("integer {n} out of range")))?,
-                    Value::U64(n) => n,
-                    Value::F64(f) if f.fract() == 0.0 && (0.0..1.9e19).contains(&f) => f as u64,
-                    ref other => return type_err("integer", other),
-                };
-                <$t>::try_from(n).map_err(|_| DeError(format!("integer {n} out of range")))
-            }
-        }
-    )*};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::F64(*self as f64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::F64(f) => Ok(f as $t),
-                    Value::I64(n) => Ok(n as $t),
-                    Value::U64(n) => Ok(n as $t),
-                    Value::Null => Ok(<$t>::NAN),
-                    ref other => type_err("number", other),
+                match i64::try_from(*self) {
+                    Ok(n) => Value::I64(n),
+                    Err(_) => Value::U64(*self as u64),
                 }
             }
         }
     )*};
 }
 
-impl_float!(f32, f64);
+impl_integer!(i64, u16, u32, u64, usize);
+
+macro_rules! impl_unsigned {
+    ($($t:ty),*) => {$(
+        impl Deserialize for $t {
+            fn from_value(v: &Value) -> Result<Self, DeError> {
+                let n: u64 = match *v {
+                    Value::I64(n) => u64::try_from(n)
+                        .map_err(|_| DeError(format!("integer {n} out of range")))?,
+                    Value::U64(n) => n,
+                    ref other => return type_err("integer", other),
+                };
+                <$t>::try_from(n).map_err(|_| DeError(format!("integer {n} out of range")))
+            }
+        }
+    )*};
+}
+
+impl_unsigned!(u16, u32, u64, usize);
+
+impl Serialize for f64 {
+    fn to_value(&self) -> Value {
+        Value::F64(*self)
+    }
+}
+
+impl Deserialize for f64 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match *v {
+            Value::F64(f) => Ok(f),
+            Value::I64(n) => Ok(n as f64),
+            Value::U64(n) => Ok(n as f64),
+            // The writer renders a non-finite float as `null`.
+            Value::Null => Ok(f64::NAN),
+            ref other => type_err("number", other),
+        }
+    }
+}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => type_err("bool", other),
-        }
     }
 }
 
@@ -205,27 +174,6 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => type_err("single-character string", other),
-        }
-    }
-}
-
 // ---------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -234,44 +182,11 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(std::sync::Arc::new)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
         }
     }
 }
@@ -291,162 +206,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        let got = items.len();
-        items
-            .try_into()
-            .map_err(|_| DeError(format!("expected array of length {N}, got {got}")))
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => type_err("array", other),
-        }
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident . $idx:tt),+ ; $len:literal)),*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let arr = v.as_array().ok_or_else(|| DeError("expected array for tuple".into()))?;
-                if arr.len() != $len {
-                    return Err(DeError(format!("expected {}-tuple, got {} elements", $len, arr.len())));
-                }
-                Ok(($($name::from_value(&arr[$idx])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple!(
-    (A.0; 1),
-    (A.0, B.1; 2),
-    (A.0, B.1, C.2; 3),
-    (A.0, B.1, C.2, D.3; 4)
-);
-
-fn map_to_value<'a, K, V, I>(iter: I) -> Value
-where
-    K: std::fmt::Display + 'a,
-    V: Serialize + 'a,
-    I: Iterator<Item = (&'a K, &'a V)>,
-{
-    Value::Object(iter.map(|(k, v)| (k.to_string(), v.to_value())).collect())
-}
-
-impl<K: std::fmt::Display, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        map_to_value(self.iter())
-    }
-}
-
+/// Keys render through `Display`, as serde_json stringifies integer keys.
 impl<K: std::fmt::Display, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
     fn to_value(&self) -> Value {
-        map_to_value(self.iter())
-    }
-}
-
-/// Map key types: serialized via `Display`, parsed back from the JSON
-/// object-key string (serde_json stringifies integer map keys the same way).
-pub trait MapKey: Sized {
-    fn from_key(key: &str) -> Result<Self, DeError>;
-}
-
-impl MapKey for String {
-    fn from_key(key: &str) -> Result<Self, DeError> {
-        Ok(key.to_string())
-    }
-}
-
-macro_rules! impl_map_key {
-    ($($t:ty),*) => {$(
-        impl MapKey for $t {
-            fn from_key(key: &str) -> Result<Self, DeError> {
-                key.parse()
-                    .map_err(|_| DeError(format!("invalid map key `{key}`")))
-            }
-        }
-    )*};
-}
-
-impl_map_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<K, V, S> Deserialize for std::collections::HashMap<K, V, S>
-where
-    K: MapKey + Eq + std::hash::Hash,
-    V: Deserialize,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(o) => o
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), v.to_value()))
                 .collect(),
-            other => type_err("object", other),
-        }
-    }
-}
-
-impl<K: MapKey + Ord, V: Deserialize> Deserialize for std::collections::BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(o) => o
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-                .collect(),
-            other => type_err("object", other),
-        }
-    }
-}
-
-impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("secs".to_string(), self.as_secs().to_value()),
-            ("nanos".to_string(), self.subsec_nanos().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = match v.as_object() {
-            Some(o) => o,
-            None => return type_err("duration object", v),
-        };
-        let secs = u64::from_value(object_field(obj, "secs")?)?;
-        let nanos = u32::from_value(object_field(obj, "nanos")?)?;
-        Ok(std::time::Duration::new(secs, nanos))
+        )
     }
 }
 
@@ -456,33 +223,31 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(i32::from_value(&42i32.to_value()).unwrap(), 42);
+        assert_eq!(u32::from_value(&42u32.to_value()).unwrap(), 42);
         assert_eq!(u64::from_value(&u64::MAX.to_value()).unwrap(), u64::MAX);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(
             String::from_value(&"hi".to_string().to_value()).unwrap(),
             "hi"
         );
+        assert_eq!((-3i64).to_value(), Value::I64(-3));
+        assert_eq!(true.to_value(), Value::Bool(true));
     }
 
     #[test]
     fn containers_round_trip() {
         let v = vec![1u32, 2, 3];
         assert_eq!(Vec::<u32>::from_value(&v.to_value()).unwrap(), v);
-        let o: Option<u8> = None;
-        assert_eq!(Option::<u8>::from_value(&o.to_value()).unwrap(), None);
-        let t = (1u8, "x".to_string());
-        assert_eq!(
-            <(u8, String)>::from_value(&t.to_value()).unwrap(),
-            (1u8, "x".to_string())
-        );
+        assert_eq!(None::<u32>.to_value(), Value::Null);
+        assert_eq!(Some(7u32).to_value(), Value::I64(7));
     }
 
     #[test]
     fn type_errors_are_reported() {
-        assert!(bool::from_value(&Value::I64(1)).is_err());
-        assert!(u8::from_value(&Value::I64(300)).is_err());
+        assert!(String::from_value(&Value::I64(1)).is_err());
+        assert!(u16::from_value(&Value::I64(70_000)).is_err());
+        assert!(u64::from_value(&Value::I64(-1)).is_err());
+        assert!(u64::from_value(&Value::F64(1.0)).is_err());
         assert!(object_field(&[], "missing").is_err());
     }
 }

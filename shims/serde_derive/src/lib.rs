@@ -2,10 +2,9 @@
 //!
 //! Hand-rolled (no `syn`/`quote` available offline) derive macros for the
 //! shim `serde`'s `Serialize`/`Deserialize` traits. Supports the shapes this
-//! workspace actually derives on: non-generic named-field structs, unit
-//! structs, tuple structs (newtypes serialize transparently, wider tuples as
-//! arrays), and enums with unit, tuple and struct variants (externally
-//! tagged, like real serde's default representation).
+//! workspace actually derives on: non-generic named-field structs, newtype
+//! structs (serialized transparently), and enums with unit and struct
+//! variants (externally tagged, like real serde's default representation).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -215,6 +214,11 @@ fn parse_item(input: TokenStream) -> Item {
 
 // -------------------------------------------------------------- codegen
 
+/// Rejects a shape outside the supported set (see the crate docs).
+fn unsupported(derive: &str, what: &str) -> ! {
+    panic!("serde_derive shim: cannot derive {derive} for `{what}` (unsupported shape)")
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
@@ -229,13 +233,7 @@ fn gen_serialize(item: &Item) -> String {
                     format!("serde::Value::Object(vec![{}])", pairs.join(", "))
                 }
                 Fields::Tuple(1) => "serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("serde::Value::Array(vec![{}])", items.join(", "))
-                }
-                Fields::Unit => "serde::Value::Null".to_string(),
+                _ => unsupported("Serialize", name),
             };
             format!(
                 "impl serde::Serialize for {name} {{\n\
@@ -252,20 +250,7 @@ fn gen_serialize(item: &Item) -> String {
                         Fields::Unit => format!(
                             "{name}::{vn} => serde::Value::Str(\"{vn}\".to_string()),"
                         ),
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => serde::Value::Object(vec![(\"{vn}\".to_string(), serde::Serialize::to_value(f0))]),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("serde::Serialize::to_value(f{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => serde::Value::Object(vec![(\"{vn}\".to_string(), serde::Value::Array(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
-                        }
+                        Fields::Tuple(_) => unsupported("Serialize", &format!("{name}::{vn}")),
                         Fields::Named(fields) => {
                             let binds = fields.join(", ");
                             let pairs: Vec<String> = fields
@@ -316,18 +301,7 @@ fn gen_deserialize(item: &Item) -> String {
                 Fields::Tuple(1) => {
                     format!("Ok({name}(serde::Deserialize::from_value(__v)?))")
                 }
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|i| format!("serde::Deserialize::from_value(&__arr[{i}])?"))
-                        .collect();
-                    format!(
-                        "let __arr = __v.as_array().ok_or_else(|| serde::DeError::custom(\"expected array for struct {name}\"))?;\n\
-                         if __arr.len() != {n} {{ return Err(serde::DeError::custom(\"wrong tuple arity for {name}\")); }}\n\
-                         Ok({name}({}))",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Unit => format!("Ok({name})"),
+                _ => unsupported("Deserialize", name),
             };
             format!(
                 "impl serde::Deserialize for {name} {{\n\
@@ -347,22 +321,7 @@ fn gen_deserialize(item: &Item) -> String {
                     let vn = &v.name;
                     match &v.fields {
                         Fields::Unit => None,
-                        Fields::Tuple(1) => Some(format!(
-                            "\"{vn}\" => Ok({name}::{vn}(serde::Deserialize::from_value(__inner)?)),"
-                        )),
-                        Fields::Tuple(n) => {
-                            let inits: Vec<String> = (0..*n)
-                                .map(|i| format!("serde::Deserialize::from_value(&__arr[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => {{\n\
-                                     let __arr = __inner.as_array().ok_or_else(|| serde::DeError::custom(\"expected array for variant {vn}\"))?;\n\
-                                     if __arr.len() != {n} {{ return Err(serde::DeError::custom(\"wrong arity for variant {vn}\")); }}\n\
-                                     Ok({name}::{vn}({}))\n\
-                                 }}",
-                                inits.join(", ")
-                            ))
-                        }
+                        Fields::Tuple(_) => unsupported("Deserialize", &format!("{name}::{vn}")),
                         Fields::Named(fields) => {
                             let inits: Vec<String> = fields
                                 .iter()

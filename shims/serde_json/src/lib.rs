@@ -1,8 +1,9 @@
 //! Offline stand-in for `serde_json`, mapping the shim `serde::Value` data
-//! model to and from JSON text. Supports everything the workspace round-trips
-//! through it: compact and pretty serialization, and deserialization of the
-//! full JSON grammar (objects, arrays, strings with escapes, integers,
-//! floats, booleans, null).
+//! model to and from JSON text: compact and pretty serialization, and parsing
+//! of the full JSON grammar (objects, arrays, strings with escapes, integers,
+//! floats, booleans, null). Like upstream, the parser rejects arrays and
+//! objects nested deeper than [`MAX_DEPTH`] with an error instead of
+//! exhausting the stack.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -44,11 +45,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// How deeply arrays and objects may nest in parsed text (upstream's limit).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a value of type `T` from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -118,9 +123,6 @@ fn write_value(v: &Value, indent: Option<usize>, depth: usize, out: &mut String)
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
-                    if indent.is_none() {
-                        // compact: no space
-                    }
                 }
                 newline_indent(indent, depth + 1, out);
                 write_value(item, indent, depth + 1, out);
@@ -157,6 +159,8 @@ fn write_value(v: &Value, indent: Option<usize>, depth: usize, out: &mut String)
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -198,8 +202,7 @@ impl<'a> Parser<'a> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => self.parse_nested(open),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at offset {}",
@@ -207,6 +210,25 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses an array or object, unless it would nest deeper than
+    /// [`MAX_DEPTH`].
+    fn parse_nested(&mut self, open: u8) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = if open == b'[' {
+            self.parse_array()
+        } else {
+            self.parse_object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -363,8 +385,8 @@ mod tests {
 
     #[test]
     fn vec_round_trip() {
-        let json = to_string_pretty(&vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> = from_str(&json).unwrap();
+        let json = to_string_pretty(&vec![1u32, 2, 3]).unwrap();
+        let back: Vec<u32> = from_str(&json).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
     }
 
@@ -392,16 +414,33 @@ mod tests {
 
     #[test]
     fn object_parsing() {
-        let m: std::collections::BTreeMap<String, i64> =
-            from_str(r#"{ "a": 1, "b": -2 }"#).unwrap();
-        assert_eq!(m["a"], 1);
-        assert_eq!(m["b"], -2);
+        #[derive(Debug, PartialEq, serde::Deserialize)]
+        struct Pair {
+            a: u64,
+            b: f64,
+        }
+        let back: Pair = from_str(r#"{ "b": -2, "a": 1 }"#).unwrap();
+        assert_eq!(back, Pair { a: 1, b: -2.0 });
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<i64>("1 2").is_err());
-        assert!(from_str::<i64>("[").is_err());
+        assert!(from_str::<u64>("1 2").is_err());
+        assert!(from_str::<u64>("[").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // At the limit the text parses; only the element type is wrong.
+        let err = from_str::<Vec<u64>>(&nested(MAX_DEPTH)).unwrap_err();
+        assert!(err.0.contains("expected integer"), "{err}");
+        let err = from_str::<Vec<u64>>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        // Far past it, unclosed and closed alike: an error, not a stack overflow.
+        assert!(from_str::<Vec<u64>>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<Vec<u64>>(&"{\"a\":".repeat(100_000)).is_err());
+        assert!(from_str::<Vec<u64>>(&nested(100_000)).is_err());
     }
 }
