@@ -6,25 +6,11 @@
 //! * **Fixed quorum vs computed Xn** — always reading at QUORUM compared with
 //!   Harmony's computed replica count at the same tolerance.
 //!
-//! Usage: `cargo run --release -p harmony-bench --bin ablations [-- --quick]`
+//! Usage: `cargo run --release -p harmony-bench -- ablations [--quick]`
 
-use harmony_bench::experiments::{
-    grid5000_experiment_config, run_point, ExperimentConfig, PolicySpec,
-};
-use harmony_bench::report::{has_flag, Table};
-
-fn scaled(quick: bool) -> ExperimentConfig {
-    let mut config = grid5000_experiment_config();
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 250;
-        config.min_operations = 8_000;
-    } else {
-        config.min_operations = 10_000;
-        config.operations_per_thread = 200;
-    }
-    config
-}
+use crate::Args;
+use harmony_bench::experiments::{run_point, PolicySpec};
+use harmony_bench::report::Table;
 
 fn row_from(table: &mut Table, label: &str, result: &harmony_ycsb::runner::ExperimentResult) {
     table.add_row(vec![
@@ -48,9 +34,12 @@ fn headers() -> Vec<&'static str> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
+pub fn run(args: &Args) {
+    let mut config = args.config();
+    if !args.quick {
+        config.min_operations = 10_000;
+        config.operations_per_thread = 200;
+    }
     let threads = 70;
 
     // 3. Background read repair.
@@ -59,7 +48,7 @@ fn main() {
     );
     let mut table = Table::new(headers());
     for chance in [0.0, 0.1, 1.0] {
-        let mut config = scaled(quick);
+        let mut config = config.clone();
         config.store.background_read_repair_chance = chance;
         let result = run_point(&config, &PolicySpec::Eventual, threads, false);
         row_from(
@@ -78,7 +67,6 @@ fn main() {
         PolicySpec::Harmony(0.2),
         PolicySpec::Harmony(0.4),
     ] {
-        let config = scaled(quick);
         let result = run_point(&config, &policy, threads, false);
         row_from(&mut table, &policy.label(), &result);
     }

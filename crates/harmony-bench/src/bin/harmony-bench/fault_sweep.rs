@@ -23,20 +23,20 @@
 //! throughput stays clearly above always-strong.
 //!
 //! Usage:
-//!   cargo run --release -p harmony-bench --bin fault_sweep
-//!   cargo run --release -p harmony-bench --bin fault_sweep -- --profile ec2
+//!   cargo run --release -p harmony-bench -- fault_sweep
+//!   cargo run --release -p harmony-bench -- fault_sweep --profile ec2
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2|multi-dc>`,
 //! `--obs` (rerun the crash scenario with tracing/metrics/audit on and dump
 //! the Prometheus snapshot, a fault-spanning per-op trace, and the decision
 //! audit records around the crash).
 
-use harmony_bench::experiments::{config_by_name, enable_split, ExperimentConfig, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use crate::{yes, Args};
+use harmony_bench::experiments::{enable_split, skewed_workload_a, ExperimentConfig, PolicySpec};
+use harmony_bench::report::Table;
 use harmony_chaos::FaultSchedule;
-use harmony_sim::profiles;
 use harmony_sim::topology::NodeId;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
-use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
+use harmony_ycsb::workloads::RequestDistribution;
 use serde::Serialize;
 
 /// The number of lowest-index records reported as the workload's hot keys
@@ -57,13 +57,6 @@ struct FaultRow {
     operations: u64,
 }
 
-fn zipfian_workload(config: &ExperimentConfig) -> WorkloadSpec {
-    let mut w =
-        WorkloadSpec::workload_a(config.records).with_distribution(RequestDistribution::Zipfian);
-    w.field_size = 64;
-    w
-}
-
 /// A runner for one sweep point: the Zipfian workload with its hot prefix
 /// tallied, under the split controller when `split` is set.
 fn point_runner(
@@ -78,7 +71,10 @@ fn point_runner(
     }
     let spec = ExperimentSpec {
         hot_key_prefix: HOT_PREFIX,
-        ..config.spec(zipfian_workload(&config), threads)
+        ..config.spec(
+            skewed_workload_a(config.records, RequestDistribution::Zipfian),
+            threads,
+        )
     };
     config.runner(policy, spec)
 }
@@ -97,25 +93,9 @@ fn run_point(
         .run()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile_name = profile_arg(&args, "grid5000");
-    let quick = has_flag(&args, "--quick");
-    let mut config = config_by_name(&profile_name).unwrap_or_else(|| {
-        // Profiles outside the two paper platforms (the multi-DC profile)
-        // reuse the Grid'5000 store scaling on their own topology.
-        let mut c = config_by_name("grid5000").expect("grid5000 exists");
-        c.profile = profiles::by_name(&profile_name)
-            .unwrap_or_else(|| panic!("unknown profile {profile_name}"));
-        c.store.replication_factor = c.profile.replication_factor;
-        c
-    });
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 300;
-        config.min_operations = 9_000;
-    }
-    let threads = if quick { 24 } else { 40 };
+pub fn run(args: &Args) {
+    let config = args.config();
+    let threads = if args.quick { 24 } else { 40 };
     let tolerance = config.profile.harmony_settings[1];
     let harmony = PolicySpec::Harmony(tolerance);
     let strong = PolicySpec::Strong;
@@ -174,15 +154,15 @@ fn main() {
 
     let mut rows: Vec<FaultRow> = Vec::new();
     let mut table = Table::new(vec![
-        "scenario".to_string(),
-        "policy".to_string(),
-        "ops/s".to_string(),
-        "vs baseline".to_string(),
-        "stale %".to_string(),
-        "hot stale %".to_string(),
-        "tolerated %".to_string(),
-        "aborted".to_string(),
-        "faults".to_string(),
+        "scenario",
+        "policy",
+        "ops/s",
+        "vs baseline",
+        "stale %",
+        "hot stale %",
+        "tolerated %",
+        "aborted",
+        "faults",
     ]);
     let baseline_throughput = baseline.throughput();
     let mut hot_within_tolerance = true;
@@ -234,11 +214,11 @@ fn main() {
     println!(
         "Hot-key stale rate within the {:.0}% tolerance in every scenario: {}",
         tolerance * 100.0,
-        if hot_within_tolerance { "yes" } else { "NO" }
+        yes(hot_within_tolerance)
     );
     println!(
         "Adaptive controller beats always-strong under every fault schedule: {}",
-        if harmony_beats_strong { "yes" } else { "NO" }
+        yes(harmony_beats_strong)
     );
     println!(
         "Shape check: crashes dent throughput while hints accumulate, the restart's hint\n\
@@ -246,14 +226,11 @@ fn main() {
          and the empty-schedule baseline is byte-identical to a run without the chaos layer."
     );
 
-    if has_flag(&args, "--obs") {
+    if args.flag("--obs") {
         dump_observed_crash(&config, &harmony, threads, duration);
     }
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &rows).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &rows);
 }
 
 /// `--obs`: the crash-hot scenario once more with the observability layer

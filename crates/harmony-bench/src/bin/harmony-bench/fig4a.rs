@@ -7,13 +7,13 @@
 //! probability of stale reads over time. Workload B's estimate stays well
 //! below workload A's, and the estimate drops with the thread count.
 //!
-//! Usage: `cargo run --release -p harmony-bench --bin fig4a [-- --quick] [--json out.json]`
+//! Usage: `cargo run --release -p harmony-bench -- fig4a [--quick] [--json out.json]`
 
+use crate::Args;
 use harmony_bench::experiments::{
-    fig4a_thread_phases, grid5000_experiment_config, scaled_workload_a, scaled_workload_b,
-    PolicySpec,
+    fig4a_thread_phases, scaled_workload_a, scaled_workload_b, PolicySpec,
 };
-use harmony_bench::report::{has_flag, json_arg, Table};
+use harmony_bench::report::Table;
 use harmony_ycsb::runner::{ExperimentSpec, Phase};
 use serde::Serialize;
 
@@ -26,15 +26,8 @@ struct TimelinePoint {
     write_rate: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
-    let mut config = grid5000_experiment_config();
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 250;
-        config.min_operations = 8_000;
-    }
+pub fn run(args: &Args) {
+    let config = args.config();
 
     println!(
         "Figure 4(a) — estimated probability of stale reads over running time (Grid'5000 profile)"
@@ -116,8 +109,5 @@ fn main() {
          thread count — and with it the write rate — steps down through the phases."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &all_points).expect("write json");
-        println!("JSON timeline written to {}", path.display());
-    }
+    args.write_json("JSON timeline", &all_points);
 }

@@ -6,16 +6,17 @@
 //! that once latency reaches a few milliseconds it dominates the estimate
 //! regardless of the access rates.
 //!
-//! The binary reproduces the panel two ways:
+//! The figure reproduces the panel two ways:
 //!  1. analytically — sweeping the latency fed to the closed-form model for a
 //!     set of workload-A-like access rates (the scatter envelope), and
 //!  2. empirically — running workload A on the EC2 profile and reporting the
 //!     (latency, estimate) pairs the controller actually observed.
 //!
-//! Usage: `cargo run --release -p harmony-bench --bin fig4b [-- --quick] [--json out.json]`
+//! Usage: `cargo run --release -p harmony-bench -- fig4b [--quick] [--json out.json]`
 
-use harmony_bench::experiments::{ec2_experiment_config, scaled_workload_a, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, Table};
+use crate::Args;
+use harmony_bench::experiments::{scaled_workload_a, PolicySpec};
+use harmony_bench::report::Table;
 use harmony_model::staleness::{PropagationModel, StaleReadModel};
 use serde::Serialize;
 
@@ -26,9 +27,7 @@ struct LatencyPoint {
     estimate: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
+pub fn run(args: &Args) {
     let mut points = Vec::new();
 
     // Part 1: the analytic sweep (0 - 50 ms as on the paper's x-axis).
@@ -65,12 +64,7 @@ fn main() {
     println!("{table}");
 
     // Part 2: measured during an EC2-profile run (spiky latency).
-    let mut config = ec2_experiment_config();
-    if quick {
-        config.records = 4_000;
-        config.min_operations = 8_000;
-        config.operations_per_thread = 250;
-    }
+    let config = args.config_for("ec2");
     let threads = 40;
     let spec = config.spec(scaled_workload_a(config.records), threads);
     let result = config.runner(&PolicySpec::Harmony(1.0), spec).run();
@@ -98,8 +92,5 @@ fn main() {
          while at sub-millisecond latency the estimate is governed by the read/write rates."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &points).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &points);
 }

@@ -9,32 +9,24 @@
 //! over strong consistency persists across the whole sweep.
 //!
 //! Usage:
-//!   cargo run --release -p harmony-bench --bin fig5_saturation -- --profile grid5000
-//!   cargo run --release -p harmony-bench --bin fig5_saturation -- --profile ec2
+//!   cargo run --release -p harmony-bench -- fig5_saturation --profile grid5000
+//!   cargo run --release -p harmony-bench -- fig5_saturation --profile ec2
 //! Flags: `--quick`, `--json <path>`.
 
-use harmony_bench::experiments::{config_by_name, run_policy_sweep, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use crate::Args;
+use harmony_bench::experiments::{run_policy_sweep, sweep_row, PolicySpec};
+use harmony_bench::report::Table;
 
 /// The saturation-focused thread sweep: dense around the knee, extending past
 /// it (the classic Figure 5 sweep jumps 40 → 70; the gap's fate is decided in
 /// between).
-pub fn saturation_thread_counts() -> Vec<usize> {
+fn saturation_thread_counts() -> Vec<usize> {
     vec![5, 10, 15, 20, 30, 40, 50, 60]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile_name = profile_arg(&args, "grid5000");
-    let quick = has_flag(&args, "--quick");
-    let mut config = config_by_name(&profile_name)
-        .unwrap_or_else(|| panic!("unknown profile {profile_name} (use grid5000 or ec2)"));
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 250;
-        config.min_operations = 6_000;
-    }
-    let thread_counts = if quick {
+pub fn run(args: &Args) {
+    let config = args.config();
+    let thread_counts = if args.quick {
         vec![5, 20, 40]
     } else {
         saturation_thread_counts()
@@ -61,16 +53,11 @@ fn main() {
         "gain over strong".to_string(),
         "harmony stale %".to_string(),
     ]);
-    let row_for = |threads: usize, label: &str| {
-        rows.iter()
-            .find(|r| r.threads == threads && r.policy == label)
-            .expect("row present")
-    };
     let mut min_gain = f64::INFINITY;
     for &threads in &thread_counts {
-        let harmony = row_for(threads, &harmony_label);
-        let eventual = row_for(threads, "eventual");
-        let strong = row_for(threads, "strong");
+        let harmony = sweep_row(&rows, &harmony_label, threads);
+        let eventual = sweep_row(&rows, "eventual", threads);
+        let strong = sweep_row(&rows, "strong", threads);
         let gain = harmony.throughput / strong.throughput.max(1e-9) - 1.0;
         min_gain = min_gain.min(gain);
         table.add_row(vec![
@@ -93,8 +80,5 @@ fn main() {
          while Harmony's stale fraction stays within its tolerated rate."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &rows).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &rows);
 }

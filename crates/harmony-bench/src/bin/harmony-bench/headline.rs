@@ -7,13 +7,14 @@
 //!    throughput of the system by 45% while maintaining the desired
 //!    consistency requirements of the application.
 //!
-//! This binary reruns the relevant comparison points and prints the measured
+//! This figure reruns the relevant comparison points and prints the measured
 //! factors side by side with the paper's numbers.
 //!
-//! Usage: `cargo run --release -p harmony-bench --bin headline [-- --quick] [--json out.json]`
+//! Usage: `cargo run --release -p harmony-bench -- headline [--quick] [--json out.json]`
 
-use harmony_bench::experiments::{config_by_name, run_policy_sweep, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, Table};
+use crate::Args;
+use harmony_bench::experiments::{run_policy_sweep, sweep_row, PolicySpec, SweepRow};
+use harmony_bench::report::Table;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -25,21 +26,13 @@ struct HeadlineResult {
     harmony_setting: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
-
+pub fn run(args: &Args) {
     println!("Harmony headline claims — measured vs paper\n");
     let mut results = Vec::new();
     let mut table = Table::new(vec!["profile", "metric", "paper", "measured"]);
 
     for profile_name in ["grid5000", "ec2"] {
-        let mut config = config_by_name(profile_name).unwrap();
-        if quick {
-            config.records = 4_000;
-            config.operations_per_thread = 250;
-            config.min_operations = 8_000;
-        }
+        let config = args.config_for(profile_name);
         // The strict Harmony setting for the platform (20% on Grid'5000,
         // 40% on EC2) against the two static baselines, at a busy thread count.
         let strict = config.profile.harmony_settings[0];
@@ -48,13 +41,17 @@ fn main() {
             PolicySpec::Eventual,
             PolicySpec::Strong,
         ];
-        let threads = if quick { vec![40] } else { vec![70, 90, 110] };
+        let threads = if args.quick {
+            vec![40]
+        } else {
+            vec![70, 90, 110]
+        };
         let rows = run_policy_sweep(&config, &policies, &threads, false);
 
-        let sum = |label: &str, f: &dyn Fn(&harmony_bench::SweepRow) -> f64| -> f64 {
-            rows.iter()
-                .filter(|r| r.policy == label)
-                .map(f)
+        let sum = |label: &str, f: &dyn Fn(&SweepRow) -> f64| -> f64 {
+            threads
+                .iter()
+                .map(|&t| f(sweep_row(&rows, label, t)))
                 .sum::<f64>()
                 / threads.len() as f64
         };
@@ -115,8 +112,5 @@ fn main() {
          simulator, so match the direction and rough magnitude rather than the exact percentages."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &results).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &results);
 }

@@ -13,16 +13,17 @@
 //! degenerating to the global decision under uniform load.
 //!
 //! Usage:
-//!   cargo run --release -p harmony-bench --bin hotspot_split -- --profile grid5000
-//!   cargo run --release -p harmony-bench --bin hotspot_split -- --profile ec2
+//!   cargo run --release -p harmony-bench -- hotspot_split --profile grid5000
+//!   cargo run --release -p harmony-bench -- hotspot_split --profile ec2
 //! Flags: `--quick`, `--json <path>`, `--tolerance <frac>`, `--threads <n>`.
 
+use crate::Args;
 use harmony_bench::experiments::{
-    config_by_name, enable_split, ExperimentConfig, PolicySpec, SkewRow,
+    enable_split, skewed_workload_a, ExperimentConfig, PolicySpec, SkewRow,
 };
-use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use harmony_bench::report::Table;
 use harmony_ycsb::runner::ExperimentSpec;
-use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
+use harmony_ycsb::workloads::RequestDistribution;
 
 /// The skews of the sweep with the hot-key prefix reported for each: the
 /// Zipfian head (ranks map to indices for the unscrambled chooser), the
@@ -38,45 +39,18 @@ fn skews(records: u64) -> Vec<(RequestDistribution, u64)> {
     ]
 }
 
-fn skewed_workload(records: u64, distribution: RequestDistribution) -> WorkloadSpec {
-    let mut w = WorkloadSpec::workload_a(records).with_distribution(distribution);
-    w.field_size = 64;
-    if distribution == RequestDistribution::Hotspot {
-        // The paper-claims hotspot setting: 10% of the keyspace takes 90% of
-        // the operations.
-        w.hotspot_hot_fraction = 0.1;
-        w.hotspot_op_fraction = 0.9;
-    }
-    w
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile_name = profile_arg(&args, "grid5000");
-    let quick = has_flag(&args, "--quick");
-    let mut config = config_by_name(&profile_name)
-        .unwrap_or_else(|| panic!("unknown profile {profile_name} (use grid5000 or ec2)"));
+pub fn run(args: &Args) {
+    let config = args.config();
     // The split matters most around and past the write-stage saturation knee,
     // where hot keys build real per-key backlogs.
     let threads = args
-        .windows(2)
-        .find(|w| w[0] == "--threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(if quick { 20 } else { 40 });
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 250;
-        config.min_operations = 6_000;
-    }
+        .value("--threads")
+        .unwrap_or(if args.quick { 20 } else { 40 });
     // A strict tolerance is where the split earns its keep: the paper's
     // per-platform settings (20-60%) are far above the hot-key stale rates of
     // these scaled runs, so the default is the strictest paper-adjacent
     // setting under which the *global* controller visibly escalates.
-    let asr = args
-        .windows(2)
-        .find(|w| w[0] == "--tolerance")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(0.03);
+    let asr = args.value("--tolerance").unwrap_or(0.03);
     let harmony = PolicySpec::Harmony(asr);
     let baselines = [PolicySpec::Eventual, PolicySpec::Strong];
 
@@ -95,7 +69,7 @@ fn main() {
     };
     let mut all_rows: Vec<SkewRow> = Vec::new();
     for (distribution, hot_prefix) in skews(config.records) {
-        let workload = skewed_workload(config.records, distribution);
+        let workload = skewed_workload_a(config.records, distribution);
         println!("\n== {} ==", workload.name);
         let mut table = Table::new(vec![
             "policy",
@@ -148,8 +122,5 @@ fn main() {
          uniform load the hot set is empty and both controllers decide identically."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &all_rows).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &all_rows);
 }

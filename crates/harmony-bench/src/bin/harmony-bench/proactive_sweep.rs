@@ -19,12 +19,13 @@
 //!   detector restarts from scratch).
 //!
 //! Usage:
-//!   cargo run --release -p harmony-bench --bin proactive_sweep
-//!   cargo run --release -p harmony-bench --bin proactive_sweep -- --quick
+//!   cargo run --release -p harmony-bench -- proactive_sweep
+//!   cargo run --release -p harmony-bench -- proactive_sweep --quick
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2>`.
 
-use harmony_bench::experiments::{config_by_name, scaled_workload_a, ExperimentConfig, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use crate::{yes, Args};
+use harmony_bench::experiments::{scaled_workload_a, ExperimentConfig, PolicySpec};
+use harmony_bench::report::Table;
 use harmony_chaos::FaultSchedule;
 use harmony_model::queueing::ProactiveConfig;
 use harmony_sim::topology::NodeId;
@@ -63,7 +64,7 @@ fn phase_stale_fraction(result: &ExperimentResult, threads: usize) -> Option<f64
     (reads > 0).then(|| stale as f64 / reads as f64)
 }
 
-fn run(
+fn run_step(
     config: &ExperimentConfig,
     proactive: bool,
     phases: Vec<Phase>,
@@ -92,17 +93,8 @@ fn escalation_lag(result: &ExperimentResult, step_secs: f64, interval_secs: f64)
         .map(|d| (d.at.as_secs_f64() - step_secs) / interval_secs)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile_name = profile_arg(&args, "grid5000");
-    let quick = has_flag(&args, "--quick");
-    let mut config = config_by_name(&profile_name)
-        .unwrap_or_else(|| panic!("unknown profile {profile_name} (grid5000|ec2)"));
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 300;
-        config.min_operations = 9_000;
-    }
+pub fn run(args: &Args) {
+    let mut config = args.config();
     // Push the write stage near saturation so a step has headroom to cross
     // it: two service slots and slower mutations, as in the fault-tolerance
     // relax test.
@@ -132,7 +124,7 @@ fn main() {
 
     // Crash step: times calibrated from a reactive no-faults baseline, like
     // the fault sweep.
-    let baseline = run(&config, false, load_phases(), FaultSchedule::empty());
+    let baseline = run_step(&config, false, load_phases(), FaultSchedule::empty());
     // The crash scenario runs at a calmer load than the phase change: the
     // pre-crash regime sits comfortably inside the tolerance, so the first
     // escalation is the controller's response to the fault, not to the
@@ -142,7 +134,7 @@ fn main() {
     // exactly the signal the predicted wait sees one period before the
     // measured backlog trend rebuilds.
     let single = vec![Phase::new(16, config.operations_for(16))];
-    let crash_baseline = run(&config, false, single.clone(), FaultSchedule::empty());
+    let crash_baseline = run_step(&config, false, single.clone(), FaultSchedule::empty());
     let duration = crash_baseline.stats.duration_secs().max(0.2);
     let crash_at = duration * 0.3;
     let restart_at = duration * 0.65;
@@ -159,13 +151,13 @@ fn main() {
 
     let mut rows: Vec<ProactiveRow> = Vec::new();
     let mut table = Table::new(vec![
-        "scenario".to_string(),
-        "controller".to_string(),
-        "ops/s".to_string(),
-        "stale %".to_string(),
-        "step stale %".to_string(),
-        "stale reads".to_string(),
-        "lag (periods)".to_string(),
+        "scenario",
+        "controller",
+        "ops/s",
+        "stale %",
+        "step stale %",
+        "stale reads",
+        "lag (periods)",
     ]);
 
     let scenarios: Vec<(&str, Vec<Phase>, FaultSchedule, Option<f64>)> = vec![
@@ -186,24 +178,8 @@ fn main() {
             let result = if name == "load-step" && !proactive {
                 baseline.clone()
             } else {
-                run(&config, proactive, phases.clone(), faults.clone())
+                run_step(&config, proactive, phases.clone(), faults.clone())
             };
-            if has_flag(&args, "--debug") && name == "crash-step" {
-                eprintln!("--- {name} proactive={proactive} (crash {crash_at:.3}s restart {restart_at:.3}s)");
-                for d in &result.decisions {
-                    eprintln!(
-                        "t={:.3} util={:.3} div={} repl={} est={:?} pred_ms={:.4} spread_ms={:.4} backlog_ms={:.4}",
-                        d.at.as_secs_f64(),
-                        d.utilization,
-                        d.diverging,
-                        d.replicas_in_read,
-                        d.estimate,
-                        d.predicted_wait_ms,
-                        d.backlog_spread_ms,
-                        d.backlog_ms,
-                    );
-                }
-            }
             let lag = step_secs.and_then(|s| escalation_lag(&result, s, interval_secs));
             lags.push(lag);
             let step_stale = (name == "load-step")
@@ -253,11 +229,11 @@ fn main() {
     println!("{table}");
     println!(
         "Phase-change stale spike (high-phase stale rate) shrinks under proactive control: {}",
-        if spike_shrinks { "yes" } else { "NO" }
+        yes(spike_shrinks)
     );
     println!(
         "Proactive escalates at least one monitoring period before reactive after the crash: {}",
-        if proactive_leads { "yes" } else { "NO" }
+        yes(proactive_leads)
     );
     println!(
         "Shape check: both controllers run byte-identical inputs, so the stale and lag\n\
@@ -265,8 +241,5 @@ fn main() {
          byte-identical to reactive (pinned in tests/per_key_determinism.rs)."
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &rows).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &rows);
 }

@@ -32,16 +32,16 @@
 //! baseline, while the hot-key stale rate stays within the tolerated rate.
 //!
 //! Usage:
-//!   cargo run --release -p harmony-bench --bin repair_sweep
+//!   cargo run --release -p harmony-bench -- repair_sweep
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2|multi-dc>`.
 
-use harmony_bench::experiments::{config_by_name, ExperimentConfig, PolicySpec};
-use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
+use crate::{yes, Args};
+use harmony_bench::experiments::{skewed_workload_a, ExperimentConfig, PolicySpec};
+use harmony_bench::report::Table;
 use harmony_chaos::FaultSchedule;
-use harmony_sim::profiles;
 use harmony_sim::topology::NodeId;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, RetryPolicy};
-use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
+use harmony_ycsb::workloads::RequestDistribution;
 use serde::Serialize;
 
 /// The number of lowest-index records reported as the workload's hot keys.
@@ -71,11 +71,12 @@ struct RepairRow {
     operations: u64,
 }
 
-fn zipfian_workload(config: &ExperimentConfig) -> WorkloadSpec {
-    let mut w =
-        WorkloadSpec::workload_a(config.records).with_distribution(RequestDistribution::Zipfian);
-    w.field_size = 64;
-    w
+impl RepairRow {
+    /// The relax time in seconds, `>=`-prefixed when only a lower bound.
+    fn relax(&self) -> String {
+        let bound = if self.relax_is_lower_bound { ">=" } else { "" };
+        format!("{bound}{:.3}", self.relax_secs)
+    }
 }
 
 /// How long after `heal_secs` the cluster took to relax back to its
@@ -115,23 +116,9 @@ fn post_heal_relax_secs(result: &ExperimentResult, cut_secs: f64, heal_secs: f64
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile_name = profile_arg(&args, "grid5000");
-    let quick = has_flag(&args, "--quick");
-    let mut config = config_by_name(&profile_name).unwrap_or_else(|| {
-        let mut c = config_by_name("grid5000").expect("grid5000 exists");
-        c.profile = profiles::by_name(&profile_name)
-            .unwrap_or_else(|| panic!("unknown profile {profile_name}"));
-        c.store.replication_factor = c.profile.replication_factor;
-        c
-    });
-    if quick {
-        config.records = 4_000;
-        config.operations_per_thread = 1_000;
-        config.min_operations = 30_000;
-    }
-    let threads = if quick { 24 } else { 40 };
+pub fn run(args: &Args) {
+    let mut config = args.config();
+    let threads = if args.quick { 24 } else { 40 };
     // The stricter of the paper's two Grid'5000 settings: the global
     // controller must actually escalate the default read level around the
     // cut, so the post-heal relax time is a visible, nonzero signal.
@@ -152,7 +139,10 @@ fn main() {
     let run = |config: &ExperimentConfig, faults: FaultSchedule, retry: RetryPolicy| {
         let spec = ExperimentSpec {
             hot_key_prefix: HOT_PREFIX,
-            ..config.spec(zipfian_workload(config), threads)
+            ..config.spec(
+                skewed_workload_a(config.records, RequestDistribution::Zipfian),
+                threads,
+            )
         };
         config
             .runner(&harmony, spec)
@@ -165,19 +155,6 @@ fn main() {
     // and heals after the scaled equivalent of the paper's 30 s partition
     // (1 s paper monitoring period → 50 ms here).
     let baseline = run(&config, FaultSchedule::empty(), RetryPolicy::default());
-    if has_flag(&args, "--timeline") {
-        for d in &baseline.decisions {
-            println!(
-                "  [baseline] t={:.3} replicas={} estimate={:?} backlog={:.3} spread={:.3} tp={:.6}",
-                d.at.as_secs_f64(),
-                d.replicas_in_read,
-                d.estimate,
-                d.backlog_ms,
-                d.backlog_spread_ms,
-                d.tp_secs,
-            );
-        }
-    }
     let duration = baseline.stats.duration_secs().max(0.2);
     // Cut early and keep a long post-heal tail: the relax time needs several
     // monitoring periods of headroom on both sides to be a meaningful signal.
@@ -218,30 +195,21 @@ fn main() {
 
     let mut rows: Vec<RepairRow> = Vec::new();
     let mut table = Table::new(vec![
-        "arm".to_string(),
-        "ops/s".to_string(),
-        "stale %".to_string(),
-        "hot stale %".to_string(),
-        "tolerated %".to_string(),
-        "aborted".to_string(),
-        "retries".to_string(),
-        "ae rounds".to_string(),
-        "rows streamed".to_string(),
-        "hints evicted".to_string(),
-        "relax (s)".to_string(),
+        "arm",
+        "ops/s",
+        "stale %",
+        "hot stale %",
+        "tolerated %",
+        "aborted",
+        "retries",
+        "ae rounds",
+        "rows streamed",
+        "hints evicted",
+        "relax (s)",
     ]);
-    let timeline = has_flag(&args, "--timeline");
     for (arm, arm_config, arm_retry) in arms {
         let result = run(arm_config, schedule(), arm_retry);
         let (relax_secs, relax_is_lower_bound) = post_heal_relax_secs(&result, cut_secs, heal_secs);
-        if timeline {
-            for s in &result.divergence_timeline {
-                println!(
-                    "  [{arm}] t={:.3} divergent_keys={}",
-                    s.at_secs, s.divergent_keys
-                );
-            }
-        }
         let row = RepairRow {
             arm: arm.to_string(),
             throughput: result.throughput(),
@@ -268,11 +236,7 @@ fn main() {
             row.ae_rounds.to_string(),
             row.ae_rows_streamed.to_string(),
             row.hints_evicted.to_string(),
-            format!(
-                "{}{:.3}",
-                if row.relax_is_lower_bound { ">=" } else { "" },
-                row.relax_secs
-            ),
+            row.relax(),
         ]);
         rows.push(row);
     }
@@ -282,53 +246,28 @@ fn main() {
     let repair = &rows[1];
     let with_retry = &rows[2];
     println!(
-        "Post-heal relax time strictly shorter with repair armed: {} ({}{:.3}s vs {}{:.3}s)",
-        if repair.relax_secs < no_repair.relax_secs && !repair.relax_is_lower_bound {
-            "yes"
-        } else {
-            "NO"
-        },
-        if repair.relax_is_lower_bound {
-            ">="
-        } else {
-            ""
-        },
-        repair.relax_secs,
-        if no_repair.relax_is_lower_bound {
-            ">="
-        } else {
-            ""
-        },
-        no_repair.relax_secs
+        "Post-heal relax time strictly shorter with repair armed: {} ({}s vs {}s)",
+        yes(repair.relax_secs < no_repair.relax_secs && !repair.relax_is_lower_bound),
+        repair.relax(),
+        no_repair.relax()
     );
     println!(
         "Repair actually ran off the read path: {} ({} rounds, {} rows streamed)",
-        if repair.ae_rounds > 0 { "yes" } else { "NO" },
+        yes(repair.ae_rounds > 0),
         repair.ae_rounds,
         repair.ae_rows_streamed
     );
     println!(
         "Client retries converted partition aborts: {} ({} aborted with retries vs {} without)",
-        if with_retry.aborted_ops < repair.aborted_ops || with_retry.retries > 0 {
-            "yes"
-        } else {
-            "NO"
-        },
+        yes(with_retry.aborted_ops < repair.aborted_ops || with_retry.retries > 0),
         with_retry.aborted_ops,
         repair.aborted_ops
     );
     println!(
         "Hot-key stale rate within the {:.0}% tolerance in every arm: {}",
         tolerance * 100.0,
-        if rows.iter().all(|r| r.hot_stale_fraction <= r.tolerance) {
-            "yes"
-        } else {
-            "NO"
-        }
+        yes(rows.iter().all(|r| r.hot_stale_fraction <= r.tolerance))
     );
 
-    if let Some(path) = json_arg(&args) {
-        harmony_bench::report::write_json(&path, &rows).expect("write json");
-        println!("JSON written to {}", path.display());
-    }
+    args.write_json("JSON", &rows);
 }

@@ -1,4 +1,4 @@
-//! Shared experiment configuration for the per-figure binaries.
+//! Shared experiment configuration for the figures.
 //!
 //! The paper's runs use 3-10 million operations over 84 physical nodes
 //! (Grid'5000) or 20 VMs (EC2). The harness scales the populations and
@@ -13,7 +13,7 @@ use harmony_adaptive::policy::{ConsistencyPolicy, HarmonyPolicy, StaticPolicy};
 use harmony_sim::profiles::{self, ClusterProfile};
 use harmony_store::config::StoreConfig;
 use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Runner};
-use harmony_ycsb::workloads::WorkloadSpec;
+use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
 use serde::Serialize;
 
 /// The client thread counts swept in Figures 5 and 6.
@@ -189,12 +189,19 @@ pub fn ec2_experiment_config() -> ExperimentConfig {
     }
 }
 
-/// Picks the experiment configuration by profile name (`grid5000` or `ec2`).
+/// Picks the experiment configuration by profile name: one of the two paper
+/// platforms (`grid5000`, `ec2`), or any other profile of
+/// [`profiles::by_name`] (the multi-DC one) on the Grid'5000 store scaling.
 pub fn config_by_name(name: &str) -> Option<ExperimentConfig> {
     match name {
         "grid5000" => Some(grid5000_experiment_config()),
         "ec2" => Some(ec2_experiment_config()),
-        _ => None,
+        _ => {
+            let mut config = grid5000_experiment_config();
+            config.profile = profiles::by_name(name)?;
+            config.store.replication_factor = config.profile.replication_factor;
+            Some(config)
+        }
     }
 }
 
@@ -203,6 +210,18 @@ pub fn config_by_name(name: &str) -> Option<ExperimentConfig> {
 pub fn scaled_workload_a(records: u64) -> WorkloadSpec {
     let mut w = WorkloadSpec::workload_a(records);
     w.field_size = 64;
+    w
+}
+
+/// Workload A scaled like [`scaled_workload_a`], its keys drawn from
+/// `distribution`. The hotspot distribution gets the paper-claims setting:
+/// 10% of the keyspace takes 90% of the operations.
+pub fn skewed_workload_a(records: u64, distribution: RequestDistribution) -> WorkloadSpec {
+    let mut w = scaled_workload_a(records).with_distribution(distribution);
+    if distribution == RequestDistribution::Hotspot {
+        w.hotspot_hot_fraction = 0.1;
+        w.hotspot_op_fraction = 0.9;
+    }
     w
 }
 
@@ -253,7 +272,19 @@ impl SweepRow {
     }
 }
 
-/// One row of the skew sweep (`hotspot_split` binary): a (skew, policy,
+/// The row of a [`run_policy_sweep`] for `policy` (a [`PolicySpec::label`])
+/// at `threads` client threads.
+///
+/// # Panics
+///
+/// If the sweep did not run that point.
+pub fn sweep_row<'a>(rows: &'a [SweepRow], policy: &str, threads: usize) -> &'a SweepRow {
+    rows.iter()
+        .find(|r| r.threads == threads && r.policy == policy)
+        .unwrap_or_else(|| panic!("no sweep row for {policy} at {threads} threads"))
+}
+
+/// One row of the skew sweep (the `hotspot_split` figure): a (skew, policy,
 /// controller-kind) point with the aggregate and hot-key staleness split out.
 #[derive(Debug, Clone, Serialize)]
 pub struct SkewRow {
@@ -371,6 +402,7 @@ mod tests {
         assert!(e.profile.mean_latency_ms() > g.profile.mean_latency_ms());
         assert!(config_by_name("grid5000").is_some());
         assert!(config_by_name("ec2").is_some());
+        assert_eq!(config_by_name("multi-dc").unwrap().profile.name, "multi-dc");
         assert!(config_by_name("other").is_none());
     }
 
@@ -410,6 +442,7 @@ mod tests {
             false,
         );
         assert_eq!(rows.len(), 2);
+        assert_eq!(sweep_row(&rows, "harmony-20%", 8).policy, "harmony-20%");
         for row in &rows {
             assert!(row.throughput > 0.0);
             assert!(row.operations >= 1_000);

@@ -1,4 +1,4 @@
-//! Plain-text table and JSON output helpers shared by the figure binaries.
+//! Plain-text table, JSON output and argument helpers shared by the binaries.
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -23,16 +23,6 @@ impl Table {
     /// Appends one row; the cell count should match the header count.
     pub fn add_row<S: Into<String>>(&mut self, cells: Vec<S>) {
         self.rows.push(cells.into_iter().map(Into::into).collect());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
@@ -83,17 +73,6 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     std::fs::write(path, json)
 }
 
-/// Parses `--json <path>` style arguments: returns the path following the
-/// flag, if present.
-pub fn json_arg(args: &[String]) -> Option<std::path::PathBuf> {
-    flag_value(args, "--json").map(std::path::PathBuf::from)
-}
-
-/// Parses `--profile <name>` style arguments, defaulting to `default`.
-pub fn profile_arg(args: &[String], default: &str) -> String {
-    flag_value(args, "--profile").unwrap_or_else(|| default.to_string())
-}
-
 /// The argument following `flag` (e.g. `--out <path>`), if present.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
@@ -116,8 +95,6 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("threads"));
         assert!(rendered.contains("25000"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         // All lines after the separator have the same width as the header line.
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -127,8 +104,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let t = Table::new(vec!["a"]);
-        assert!(t.is_empty());
-        assert!(t.render().contains('a'));
+        assert_eq!(t.render(), "a\n-\n");
     }
 
     #[test]
@@ -144,15 +120,13 @@ mod tests {
 
     #[test]
     fn argument_helpers() {
-        let args: Vec<String> = ["--profile", "ec2", "--json", "/tmp/x.json", "--quick"]
+        let args: Vec<String> = ["--out", "/tmp/x.json", "--quick"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(profile_arg(&args, "grid5000"), "ec2");
-        assert_eq!(json_arg(&args).unwrap().to_str().unwrap(), "/tmp/x.json");
+        assert_eq!(flag_value(&args, "--out").unwrap(), "/tmp/x.json");
+        assert!(flag_value(&args, "--check").is_none());
         assert!(has_flag(&args, "--quick"));
-        assert!(!has_flag(&args, "--dual-read"));
-        assert_eq!(profile_arg(&[], "grid5000"), "grid5000");
-        assert!(json_arg(&[]).is_none());
+        assert!(!has_flag(&args, "--obs-overhead-check"));
     }
 }

@@ -161,7 +161,6 @@ pub struct Monitor {
     /// that complete no mutations (or hit a counter reset).
     last_service_mean_ms: f64,
     last_service_scv: f64,
-    last_latency_ms: f64,
     /// Recent (time, mean backlog) points used for the trend estimate.
     backlog_history: std::collections::VecDeque<(SimTime, f64)>,
     /// Recent (time, predicted wait) points for the predicted-wait trend.
@@ -225,7 +224,6 @@ impl Monitor {
             last_service_ms_sq_total: 0.0,
             last_service_mean_ms: 0.0,
             last_service_scv: 1.0,
-            last_latency_ms: 0.0,
             backlog_history: std::collections::VecDeque::new(),
             predicted_history: std::collections::VecDeque::new(),
             last_fault_epoch: 0,
@@ -447,7 +445,6 @@ impl Monitor {
         self.last_reads = reads;
         self.last_writes = writes;
         self.last_write_arrivals = write_arrivals;
-        self.last_latency_ms = latency_ms;
 
         let est = self.estimator.estimate();
         let sample = MonitorSample {
@@ -470,11 +467,6 @@ impl Monitor {
         };
         self.history.push(sample);
         sample
-    }
-
-    /// The latest aggregated latency (milliseconds).
-    pub fn current_latency_ms(&self) -> f64 {
-        self.last_latency_ms
     }
 
     /// All sweeps performed so far.
@@ -591,7 +583,6 @@ mod tests {
             "rate={}",
             s.write_rate
         );
-        assert!((m.current_latency_ms() - 0.4).abs() < 1e-12);
     }
 
     #[test]

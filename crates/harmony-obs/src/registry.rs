@@ -77,11 +77,6 @@ impl Histogram {
         self.inner.lock().record_us(us);
     }
 
-    /// Records one observation in milliseconds.
-    pub fn record_ms(&self, ms: f64) {
-        self.record_us(ms * 1e3);
-    }
-
     /// Merges a whole pre-built histogram into this series (collect-on-scrape
     /// for layers that already keep a `LatencyHistogram`).
     pub fn merge_from(&self, other: &LatencyHistogram) {

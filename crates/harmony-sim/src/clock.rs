@@ -184,11 +184,6 @@ impl Clock {
             self.now = t;
         }
     }
-
-    /// Advances the clock by `delta`.
-    pub fn advance_by(&mut self, delta: SimTime) {
-        self.now = self.now.saturating_add(delta);
-    }
 }
 
 #[cfg(test)]
@@ -289,8 +284,6 @@ mod tests {
         c.advance_to(SimTime::from_millis(5));
         c.advance_to(SimTime::from_millis(3));
         assert_eq!(c.now(), SimTime::from_millis(5));
-        c.advance_by(SimTime::from_millis(2));
-        assert_eq!(c.now(), SimTime::from_millis(7));
     }
 
     #[test]

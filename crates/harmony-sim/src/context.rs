@@ -108,11 +108,6 @@ impl<T> TimerTable<T> {
         self.armed.contains_key(&id.0)
     }
 
-    /// Number of armed timers.
-    pub fn armed_count(&self) -> usize {
-        self.armed.len()
-    }
-
     /// The armed timers in ascending id order — a deterministic view for
     /// state fingerprinting (the backing map has no stable iteration order).
     pub fn armed_entries(&self) -> Vec<(TimerId, &T)> {
@@ -178,6 +173,5 @@ mod tests {
         table.cancel(a);
         let b = table.arm(2);
         assert_ne!(a, b);
-        assert_eq!(table.armed_count(), 1);
     }
 }

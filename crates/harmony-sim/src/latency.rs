@@ -86,11 +86,6 @@ impl Latency {
         Latency::Constant { ms }
     }
 
-    /// A uniform latency in `[lo_ms, hi_ms]` milliseconds.
-    pub fn uniform_ms(lo_ms: f64, hi_ms: f64) -> Self {
-        Latency::Uniform { lo_ms, hi_ms }
-    }
-
     /// A truncated normal latency.
     pub fn normal_ms(mean_ms: f64, std_ms: f64) -> Self {
         Latency::Normal {
@@ -119,14 +114,6 @@ impl Latency {
         Latency::Scaled {
             base: Box::new(self),
             factor,
-        }
-    }
-
-    /// Wraps `self` in a shifting model.
-    pub fn shifted_ms(self, offset_ms: f64) -> Self {
-        Latency::Shifted {
-            base: Box::new(self),
-            offset_ms,
         }
     }
 
@@ -239,7 +226,10 @@ mod tests {
 
     #[test]
     fn uniform_stays_in_bounds() {
-        let l = Latency::uniform_ms(1.0, 3.0);
+        let l = Latency::Uniform {
+            lo_ms: 1.0,
+            hi_ms: 3.0,
+        };
         let mut r = rng();
         for _ in 0..1000 {
             let v = l.sample_ms(&mut r);
@@ -250,7 +240,10 @@ mod tests {
 
     #[test]
     fn degenerate_uniform_returns_lo() {
-        let l = Latency::uniform_ms(2.0, 2.0);
+        let l = Latency::Uniform {
+            lo_ms: 2.0,
+            hi_ms: 2.0,
+        };
         assert_eq!(l.sample_ms(&mut rng()), 2.0);
     }
 
@@ -298,7 +291,10 @@ mod tests {
 
     #[test]
     fn scaled_and_shifted_compose() {
-        let l = Latency::constant_ms(2.0).scaled(3.0).shifted_ms(1.0);
+        let l = Latency::Shifted {
+            base: Box::new(Latency::constant_ms(2.0).scaled(3.0)),
+            offset_ms: 1.0,
+        };
         assert_eq!(l.sample_ms(&mut rng()), 7.0);
         assert_eq!(l.mean_ms(), 7.0);
     }

@@ -76,17 +76,6 @@ impl ServiceModel {
         self.mean_ms * factor
     }
 
-    /// The mean service time averaged over `nodes` nodes (ms).
-    pub fn mean_ms_over(&self, nodes: usize) -> f64 {
-        if nodes == 0 {
-            return self.mean_ms;
-        }
-        (0..nodes)
-            .map(|i| self.mean_ms_for(NodeId(i as u32)))
-            .sum::<f64>()
-            / nodes as f64
-    }
-
     /// Samples one service time for `node`. Draws exactly `shape` uniforms
     /// from `rng` (zero when the node's mean is zero would still draw, so the
     /// event trace stays aligned across configurations with equal shapes).
@@ -119,7 +108,6 @@ mod tests {
         assert_eq!(m.shape, 1);
         assert_eq!(m.scv(), 1.0);
         assert_eq!(m.mean_ms_for(NodeId(3)), 0.4);
-        assert!((m.mean_ms_over(10) - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -135,7 +123,6 @@ mod tests {
         assert_eq!(m.mean_ms_for(NodeId(1)), 2.0);
         assert_eq!(m.mean_ms_for(NodeId(2)), 0.0); // clamped
         assert_eq!(m.mean_ms_for(NodeId(9)), 1.0); // beyond the vector
-        assert!((m.mean_ms_over(2) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -329,6 +329,11 @@ pub struct ClusterObs {
 /// Upper bound on buffered write-key samples between monitoring sweeps.
 const WRITE_KEY_SAMPLE_CAP: usize = 1 << 16;
 
+/// Number of Merkle-style range buckets an anti-entropy digest folds the key
+/// space into. More buckets mean finer diffs (fewer key-level entries
+/// exchanged per mismatch) at the cost of a longer digest message.
+const AE_BUCKETS: usize = 16;
+
 impl Cluster {
     /// Builds a cluster over `topology` with the given network behaviour.
     ///
@@ -764,9 +769,10 @@ impl Cluster {
 
     /// Applies a mutation directly to one node's engine, bypassing the
     /// message layer — divergence-injection scaffolding for repair scenarios
-    /// (tests and the checker build a known-stale replica with it, then
+    /// (`machine.rs`'s unit tests build a known-stale replica with it, then
     /// prove anti-entropy closes the gap). Never part of the protocol.
-    pub fn node_engine_apply(
+    #[cfg(test)]
+    pub(crate) fn node_engine_apply(
         &mut self,
         node: NodeId,
         key: KeyId,
@@ -784,7 +790,8 @@ impl Cluster {
     /// declare an injected row "acknowledged" so the convergence predicates
     /// ([`Cluster::all_replicas_converged`], the checker's durability
     /// invariant) hold it against every replica.
-    pub fn force_acked_ts(&mut self, key: KeyId, timestamp: Timestamp) {
+    #[cfg(test)]
+    pub(crate) fn force_acked_ts(&mut self, key: KeyId, timestamp: Timestamp) {
         let entry = &mut self.latest_acked[key.index()];
         if timestamp > *entry {
             *entry = timestamp;
@@ -1937,15 +1944,14 @@ impl Cluster {
     // round is explicitly driven, which keeps disabled runs byte-identical.
 
     /// Merkle-style range digests of `node`'s tables: an order-independent
-    /// XOR fold of `mix(key, timestamp)` into `key % buckets`. Equal tables
+    /// XOR fold of `mix(key, timestamp)` into `key % AE_BUCKETS`. Equal tables
     /// give equal digests; a single divergent row flips exactly one bucket.
     fn ae_bucket_digests(&self, node: NodeId) -> Vec<u64> {
-        let buckets = self.config.anti_entropy_buckets.max(1);
-        let mut out = vec![0u64; buckets];
+        let mut out = vec![0u64; AE_BUCKETS];
         for index in 0..self.key_table.len() {
             let key = KeyId(index as u32);
             if let Some(ts) = self.nodes[node.index()].digest(key) {
-                out[index % buckets] ^= harmony_sim::rng::mix(index as u64, ts.0);
+                out[index % AE_BUCKETS] ^= harmony_sim::rng::mix(index as u64, ts.0);
             }
         }
         out
@@ -2023,10 +2029,9 @@ impl Cluster {
         if mismatched.is_empty() {
             return;
         }
-        let buckets = self.config.anti_entropy_buckets.max(1);
         let mut entries = Vec::new();
         for index in 0..self.key_table.len() {
-            if !mismatched.contains(&((index % buckets) as u32)) {
+            if !mismatched.contains(&((index % AE_BUCKETS) as u32)) {
                 continue;
             }
             let key = KeyId(index as u32);
@@ -2064,9 +2069,8 @@ impl Cluster {
         if !self.faults.reachable(dest, from) {
             return;
         }
-        let buckets = self.config.anti_entropy_buckets.max(1);
         for index in 0..self.key_table.len() {
-            if !mismatched.contains(&((index % buckets) as u32)) {
+            if !mismatched.contains(&((index % AE_BUCKETS) as u32)) {
                 continue;
             }
             let key = KeyId(index as u32);

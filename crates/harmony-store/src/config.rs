@@ -43,10 +43,6 @@ pub struct StoreConfig {
     /// disabled cluster is byte-identical to one built before the subsystem
     /// existed. Runners arm the protocol timer from this knob.
     pub anti_entropy_interval_secs: f64,
-    /// Number of Merkle-style range buckets an anti-entropy digest folds the
-    /// key space into. More buckets mean finer diffs (fewer key-level entries
-    /// exchanged per mismatch) at the cost of a longer digest message.
-    pub anti_entropy_buckets: usize,
     /// Maximum hinted mutations retained per (origin, destination) pair.
     /// When an origin exceeds the cap for one destination its *oldest* hint
     /// is evicted (counted in [`crate::cluster::ClusterTotals::hints_evicted`])
@@ -71,7 +67,6 @@ impl Default for StoreConfig {
             node_service_factors: Vec::new(),
             client_latency_ms: 0.25,
             anti_entropy_interval_secs: 0.0,
-            anti_entropy_buckets: 16,
             hint_cap_per_origin: 0,
         }
     }
@@ -123,9 +118,6 @@ impl StoreConfig {
         }
         if !finite_non_negative(self.anti_entropy_interval_secs) {
             return Err("anti_entropy_interval_secs must be finite and non-negative".into());
-        }
-        if self.anti_entropy_buckets == 0 {
-            return Err("anti_entropy_buckets must be at least 1".into());
         }
         Ok(())
     }
@@ -208,12 +200,6 @@ mod tests {
 
         let c = StoreConfig {
             anti_entropy_interval_secs: f64::NAN,
-            ..StoreConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = StoreConfig {
-            anti_entropy_buckets: 0,
             ..StoreConfig::default()
         };
         assert!(c.validate().is_err());

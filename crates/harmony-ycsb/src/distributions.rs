@@ -125,7 +125,6 @@ pub struct Zipfian {
     eta: f64,
     /// `0.5^theta`: the probability mass of rank 1 relative to rank 0.
     half_pow_theta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -143,7 +142,6 @@ impl Zipfian {
             zetan,
             eta,
             half_pow_theta: 0.5f64.powf(theta),
-            zeta2theta,
         }
     }
 
@@ -176,11 +174,6 @@ impl Zipfian {
         }
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);
         ((self.items as f64) * spread) as u64 % self.items
-    }
-
-    /// The zeta normalisation constant for 2 items (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
@@ -292,7 +285,6 @@ mod tests {
     #[test]
     fn zipfian_zeta_values() {
         let z = Zipfian::new(2, 0.99);
-        assert!((z.zeta2() - (1.0 + 1.0 / 2f64.powf(0.99))).abs() < 1e-12);
         assert_eq!(z.item_count(), 2);
         assert!((z.theta() - 0.99).abs() < 1e-12);
     }

@@ -128,29 +128,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Looks a core workload up by its letter (`a`, `b`, `c`, `d`, `f`).
-    pub fn by_letter(letter: char, record_count: u64) -> Option<Self> {
-        match letter.to_ascii_lowercase() {
-            'a' => Some(Self::workload_a(record_count)),
-            'b' => Some(Self::workload_b(record_count)),
-            'c' => Some(Self::workload_c(record_count)),
-            'd' => Some(Self::workload_d(record_count)),
-            'f' => Some(Self::workload_f(record_count)),
-            _ => None,
-        }
-    }
-
-    /// A custom read/update mix with the given read fraction, Zipfian keys.
-    pub fn read_update_mix(name: impl Into<String>, read_fraction: f64, record_count: u64) -> Self {
-        let read_fraction = read_fraction.clamp(0.0, 1.0);
-        WorkloadSpec {
-            name: name.into(),
-            read_proportion: read_fraction,
-            update_proportion: 1.0 - read_fraction,
-            ..Self::workload_a(record_count)
-        }
-    }
-
     /// Validates that the proportions form a probability distribution.
     pub fn validate(&self) -> Result<(), String> {
         let total = self.read_proportion
@@ -233,16 +210,6 @@ impl WorkloadSpec {
             Operation::ReadModifyWrite
         }
     }
-
-    /// The average size in bytes of one update payload (a single field).
-    pub fn update_size_bytes(&self) -> f64 {
-        self.field_size as f64 + 8.0
-    }
-
-    /// The size in bytes of one full row.
-    pub fn row_size_bytes(&self) -> usize {
-        self.field_count * (self.field_size + 8)
-    }
 }
 
 #[cfg(test)]
@@ -253,12 +220,15 @@ mod tests {
 
     #[test]
     fn core_workloads_are_valid() {
-        for letter in ['a', 'b', 'c', 'd', 'f'] {
-            let w = WorkloadSpec::by_letter(letter, 1000).unwrap();
-            assert!(w.validate().is_ok(), "workload {letter}");
+        for w in [
+            WorkloadSpec::workload_a(1000),
+            WorkloadSpec::workload_b(1000),
+            WorkloadSpec::workload_c(1000),
+            WorkloadSpec::workload_d(1000),
+            WorkloadSpec::workload_f(1000),
+        ] {
+            assert!(w.validate().is_ok(), "workload {}", w.name);
         }
-        assert!(WorkloadSpec::by_letter('z', 10).is_none());
-        assert!(WorkloadSpec::by_letter('E', 10).is_none());
     }
 
     #[test]
@@ -331,22 +301,6 @@ mod tests {
         w.read_proportion = -0.5;
         w.update_proportion = 1.5;
         assert!(w.validate().is_err());
-    }
-
-    #[test]
-    fn custom_mix_clamps_and_validates() {
-        let w = WorkloadSpec::read_update_mix("custom", 0.8, 500);
-        assert!(w.validate().is_ok());
-        assert!((w.update_proportion - 0.2).abs() < 1e-12);
-        let w = WorkloadSpec::read_update_mix("all-reads", 2.0, 500);
-        assert_eq!(w.read_proportion, 1.0);
-    }
-
-    #[test]
-    fn sizes_reflect_field_configuration() {
-        let w = WorkloadSpec::workload_a(10);
-        assert_eq!(w.row_size_bytes(), 10 * 108);
-        assert!((w.update_size_bytes() - 108.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Smoke tests for the `examples/` binaries: run each one with reduced work
 //! (`--quick` where the example supports it) and require a clean exit with
-//! plausible output, so the examples cannot silently rot.
+//! plausible output, so the examples cannot silently rot. Each output is also
+//! pinned byte for byte by `tests/fixtures/golden/examples/<name>.txt`, which
+//! `tools/bless_golden.sh` rewrites after a change meant to move it.
 //!
 //! `cargo test` builds every example before running integration tests, so the
-//! binaries are guaranteed to exist next to this test's own executable under
-//! `target/<profile>/examples/`.
+//! binaries exist next to this test's own executable under
+//! `target/<profile>/examples/`. `cargo test --test examples_smoke` alone does
+//! not rebuild them, so each is checked to be newer than its sources first.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,14 +22,26 @@ fn example_bin(name: &str) -> PathBuf {
     if dir.ends_with("deps") {
         dir.pop(); // -> target/<profile>/
     }
-    let bin = dir.join("examples").join(name);
-    assert!(
-        bin.exists(),
-        "example binary {} not found at {} (examples are built by `cargo test`)",
-        name,
-        bin.display()
-    );
+    let bin = dir
+        .join("examples")
+        .join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
+    common::assert_fresh(&bin, "cargo build --examples");
     bin
+}
+
+/// Compares `out` with the golden fixture `examples/<fixture>.txt`.
+fn assert_golden(fixture: &str, out: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/golden/examples")
+        .join(format!("{fixture}.txt"));
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert!(
+        out == expected,
+        "{fixture}: output differs from {} (rewrite it with tools/bless_golden.sh if \
+         intended)\n--- expected\n{expected}\n--- actual\n{out}",
+        path.display()
+    );
 }
 
 fn run_example(name: &str, args: &[&str]) -> String {
@@ -45,6 +62,7 @@ fn run_example(name: &str, args: &[&str]) -> String {
 #[test]
 fn quickstart_runs() {
     let out = run_example("quickstart", &["--quick"]);
+    assert_golden("quickstart", &out);
     assert!(out.contains("quickstart"), "unexpected output:\n{out}");
     // Each policy row ends with its average replicas per read.
     let replicas: Vec<f64> = ["eventual", "harmony-40", "harmony-20", "strong"]
@@ -69,8 +87,15 @@ fn quickstart_runs() {
 }
 
 #[test]
+fn quickstart_obs_matches_its_golden_output() {
+    let out = run_example("quickstart", &["--quick", "--obs"]);
+    assert_golden("quickstart-obs", &out);
+}
+
+#[test]
 fn webshop_vs_social_runs() {
     let out = run_example("webshop_vs_social", &["--quick"]);
+    assert_golden("webshop_vs_social", &out);
     assert!(out.contains("web-shop"), "unexpected output:\n{out}");
     assert!(out.contains("social network"), "unexpected output:\n{out}");
     // The web shop's block prints first, the social network's second.
@@ -94,12 +119,14 @@ fn webshop_vs_social_runs() {
 fn consistency_explorer_runs() {
     // Positional arguments: replication factor and average write size.
     let out = run_example("consistency_explorer", &["3", "256"]);
+    assert_golden("consistency_explorer", &out);
     assert!(!out.trim().is_empty(), "explorer printed nothing");
 }
 
 #[test]
 fn latency_spike_runs() {
     let out = run_example("latency_spike", &[]);
+    assert_golden("latency_spike", &out);
     assert!(out.contains("latency"), "unexpected output:\n{out}");
     assert!(out.contains("read level"), "unexpected output:\n{out}");
 }
